@@ -134,6 +134,18 @@ def absolute(f: DirectionalFunction) -> DirectionalFunction:
 # grid-sampled functions
 
 
+def _grid_points(lo, hi, resolution) -> np.ndarray:
+    """The (m, n) nodes of the box grid [lo, hi], row-major."""
+    if not len(lo) == len(hi) == len(resolution):
+        raise ValueError(
+            f"grid box corners have {len(lo)} and {len(hi)} coordinates "
+            f"but the resolution has {len(resolution)} entries"
+        )
+    axes = [np.linspace(lo[i], hi[i], r) for i, r in enumerate(resolution)]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """Samples on an axis-aligned box with multilinear interpolation.
@@ -199,10 +211,7 @@ class GridFunction:
         lo = np.asarray(lo, dtype=float)
         hi = np.asarray(hi, dtype=float)
         resolution = tuple(int(r) for r in resolution)
-        axes = [np.linspace(lo[i], hi[i], resolution[i]) for i in range(len(resolution))]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        vals = f.evaluate_many(pts)
+        vals = f.evaluate_many(_grid_points(lo, hi, resolution))
         return cls(tuple(lo), tuple(hi), resolution, vals)
 
     # CSV format: header line "n,res...,lo...,hi..." then one sample per line.
@@ -677,7 +686,14 @@ def _parse_expr(sc: _Scanner) -> DirectionalFunction:
         n = 1
         if sc.peek() == ",":
             sc.expect(",")
-            n = int(sc.number())
+            sc.skip_ws()
+            at_n = sc.pos
+            dim = sc.number()
+            if dim not in (1.0, 2.0, 3.0):
+                raise SpecParseError(
+                    f"gauss dimension must be 1, 2 or 3, got {dim:g}", at_n
+                )
+            n = int(dim)
         sc.expect(")")
         return make_gauss(s, n)
     if name == "maxaffine":

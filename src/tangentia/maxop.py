@@ -21,12 +21,13 @@ from .funcspace import (
     DEFAULT_QUADRATURE,
     DirectionalFunction,
     QuadratureConfig,
+    _grid_points,
     absolute,
     ball_average,
     ball_average_radii,
     sphere_average_derivative,
 )
-from .nonsmooth import directional_derivative, tau
+from .nonsmooth import _unit_direction, directional_derivative, tau
 from .semilinear import full_space
 
 __all__ = [
@@ -241,8 +242,7 @@ def maximal_directional_derivative(
     differentiable, which is checked up front.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    theta = theta / np.linalg.norm(theta)
+    theta = _unit_direction(theta)
     absf = absolute(f)
     if lam == 0.0:
         t = tau(f, x, full_space(f.dimension), max(8, 2 * f.dimension))
@@ -396,12 +396,9 @@ def maximal_field(
 ):
     """(points, values, radii sets) of the operator over a grid, row-major."""
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
-    n = f.dimension
     if np.isscalar(resolution):
-        resolution = (int(resolution),) * n
-    axes = [np.linspace(lo[i], hi[i], resolution[i]) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        resolution = (int(resolution),) * f.dimension
+    pts = _grid_points(lo, hi, resolution)
 
     def work(p):
         return maximal(f, p, lam, r_max, search, quadrature)

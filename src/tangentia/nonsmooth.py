@@ -18,7 +18,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import LadderDivergenceError
-from .funcspace import DirectionalFunction
+from .funcspace import DirectionalFunction, _grid_points
 from .semilinear import (
     SemiLinearSubspace,
     SemiLinearMap,
@@ -129,11 +129,19 @@ def difference_quotient(f: DirectionalFunction, x, h) -> float:
     return (f(x + h) - f(x)) / nh
 
 
+def _unit_direction(theta) -> np.ndarray:
+    """theta scaled to unit length; a zero or non-finite direction is refused."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    norm = float(np.linalg.norm(theta))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction {theta.tolist()} must be nonzero and finite")
+    return theta / norm
+
+
 def quotient_ladder(f: DirectionalFunction, x, theta, ladder=None) -> np.ndarray:
     """Difference quotients along theta at each ladder radius."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    theta = theta / np.linalg.norm(theta)
+    theta = _unit_direction(theta)
     ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
     fx = f(x)
     pts = x[None, :] + ladder[:, None] * theta[None, :]
@@ -157,8 +165,7 @@ def directional_derivative_detail(
 ) -> DerivativeEstimate:
     """One-sided directional derivative with the rung trace attached."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    theta = theta / np.linalg.norm(theta)
+    theta = _unit_direction(theta)
     ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
     if len(ladder) < 3 or np.any(np.diff(ladder) >= 0) or np.any(ladder <= 0):
         raise ValueError("ladder must be a decreasing positive sequence, >= 3 rungs")
@@ -428,12 +435,6 @@ class ScanPoint:
     sf_flag: bool
 
 
-def _grid_points(lo, hi, resolution, n):
-    axes = [np.linspace(lo[i], hi[i], resolution[i]) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
 def singular_scan(
     f: DirectionalFunction,
     box,
@@ -459,7 +460,7 @@ def singular_scan(
     resolution = tuple(int(r) for r in resolution)
     if min(resolution) < 2:
         raise ValueError("need at least 2 grid points per axis")
-    pts = _grid_points(lo, hi, resolution, n)
+    pts = _grid_points(lo, hi, resolution)
     cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
     if ladder is None:
         ladder = np.array([2.0, 1.0, 0.5]) * cell

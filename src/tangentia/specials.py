@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .funcspace import DirectionalFunction
+from .funcspace import DirectionalFunction, _grid_points
 
 __all__ = [
     "ClosedSetModel",
@@ -27,25 +27,13 @@ __all__ = [
 ]
 
 
-def _segment_nearest(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    ab = b - a
-    t = float((p - a) @ ab) / float(ab @ ab)
-    t = min(max(t, 0.0), 1.0)
-    return a + t * ab
-
-
 @dataclass(frozen=True)
 class ClosedSetModel:
-    """A closed set A given as finite points, a polygon boundary, or a
-    grid level-set.
+    """A closed set A given as finite points or a polygon boundary."""
 
-    Nearest-point queries on the grid kind are cell-accurate only: the
-    candidates are linear zero crossings along grid edges.
-    """
-
-    kind: str  # "points" | "polygon" | "levelset"
-    points: Optional[np.ndarray] = None  # (k, n) for points/levelset candidates
-    vertices: Optional[np.ndarray] = None  # (k, 2) closed loop for polygon
+    kind: str  # "points" | "polygon"
+    points: Optional[np.ndarray] = None  # (k, n) for points
+    vertices: Optional[np.ndarray] = None  # (k, 2), the last joins the first
     query_tol: float = 1e-9
 
     @property
@@ -66,42 +54,52 @@ class ClosedSetModel:
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("polygon needs >= 3 2D vertices (closed loop)")
+        edges = np.roll(verts, -1, axis=0) - verts
+        if np.any(np.sum(edges * edges, axis=1) == 0.0):
+            raise ValueError("polygon has a zero-length edge (repeated vertex)")
         return cls("polygon", vertices=verts)
 
-    @classmethod
-    def from_grid_levelset(cls, grid, level: float = 0.0) -> "ClosedSetModel":
-        """Zero crossings of grid samples along grid edges, per axis."""
-        shaped = grid.samples.reshape(grid.resolution) - level
-        axes = grid.axes()
-        n = grid.dimension
-        cands = []
-        for ax in range(n):
-            lo = [slice(None)] * n
-            hi = [slice(None)] * n
-            lo[ax] = slice(0, -1)
-            hi[ax] = slice(1, None)
-            a = shaped[tuple(lo)]
-            b = shaped[tuple(hi)]
-            cross = (a == 0.0) | (a * b < 0.0)
-            idx = np.argwhere(cross)
-            for ind in idx:
-                va = a[tuple(ind)]
-                vb = b[tuple(ind)]
-                t = 0.0 if va == vb else va / (va - vb)
-                point = np.array(
-                    [axes[d][ind[d]] for d in range(n)], dtype=float
-                )
-                step = axes[ax][1] - axes[ax][0]
-                point[ax] += t * step
-                cands.append(point)
-        if not cands:
-            raise ValueError("level set is empty on the grid")
-        return cls("levelset", points=np.array(cands))
-
     def candidate_points(self) -> np.ndarray:
-        if self.kind in ("points", "levelset"):
+        if self.kind == "points":
             return self.points
         return self.vertices
+
+
+_BLOCK = 1024  # query points per candidate evaluation, bounds memory
+
+
+def _blocks(X: np.ndarray):
+    # one block at least, so that an empty X gives empty distances
+    return (X[s : s + _BLOCK] for s in range(0, max(len(X), 1), _BLOCK))
+
+
+def _candidates(A: ClosedSetModel, X: np.ndarray):
+    """Candidates and distances (p, k) of the query points X (p, n).
+
+    The candidates are the set's points, shape (1, k, n) and shared by
+    every query point, or each query point's clamped projection onto every
+    polygon edge, shape (p, k, n).
+    """
+    if A.kind == "polygon":
+        a = A.vertices
+        ab = np.roll(a, -1, axis=0) - a
+        t = np.sum((X[:, None, :] - a) * ab, axis=-1)
+        t = np.clip(t / np.sum(ab * ab, axis=-1), 0.0, 1.0)
+        cands = a + t[:, :, None] * ab
+    else:
+        cands = A.points[None]
+    diff = cands - X[:, None, :]
+    return cands, np.sqrt(np.einsum("pkn,pkn->pk", diff, diff))
+
+
+def _close_points(cands, d, dmin: float, rel_tol: float) -> List[np.ndarray]:
+    close = cands[d <= dmin * (1.0 + rel_tol)]
+    # dedup coincident candidates (shared polygon vertices etc.)
+    out: List[np.ndarray] = []
+    for p in close:
+        if all(np.linalg.norm(p - q) > 1e-9 * (1.0 + dmin) for q in out):
+            out.append(p)
+    return out
 
 
 def nearest_set(
@@ -109,33 +107,18 @@ def nearest_set(
 ) -> Tuple[float, List[np.ndarray]]:
     """Distance to A and every nearest point within relative tolerance.
 
-    Exact enumeration over points and polygon edges; level-set models
-    return cell-accurate candidates.  x must lie off the set.
+    Exact enumeration over points and polygon edges.  x must lie off the
+    set.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if A.kind == "polygon":
-        cands = []
-        verts = A.vertices
-        k = verts.shape[0]
-        for i in range(k):
-            cands.append(_segment_nearest(x, verts[i], verts[(i + 1) % k]))
-        cands = np.array(cands)
-    else:
-        cands = A.points
-    d = np.linalg.norm(cands - x[None, :], axis=1)
+    cands, d = _candidates(A, x[None, :])
     dmin = float(np.min(d))
     if dmin <= A.query_tol:
         raise ValueError(
             f"point {tuple(x)} lies on the set (distance {dmin:.3e}); "
             "the distance function is defined off the set only"
         )
-    close = cands[d <= dmin * (1.0 + rel_tol)]
-    # dedup coincident candidates (shared polygon vertices etc.)
-    out: List[np.ndarray] = []
-    for p in close:
-        if all(np.linalg.norm(p - q) > 1e-9 * (1.0 + dmin) for q in out):
-            out.append(p)
-    return dmin, out
+    return dmin, _close_points(cands[0], d[0], dmin, rel_tol)
 
 
 def distance_directional_derivative(A: ClosedSetModel, x, theta) -> float:
@@ -152,26 +135,11 @@ def distance_directional_derivative(A: ClosedSetModel, x, theta) -> float:
 
 def distance_function(A: ClosedSetModel) -> DirectionalFunction:
     """The 1-Lipschitz distance-to-A as a DirectionalFunction."""
-    n = A.dimension
 
-    def ev(x):
-        if A.kind == "polygon":
-            verts = A.vertices
-            k = verts.shape[0]
-            best = math.inf
-            for i in range(k):
-                q = _segment_nearest(x, verts[i], verts[(i + 1) % k])
-                best = min(best, float(np.linalg.norm(x - q)))
-            return best
-        return float(np.min(np.linalg.norm(A.points - x[None, :], axis=1)))
-
-    batch = None
-    if A.kind in ("points", "levelset"):
-
-        def batch(pts):
-            from scipy.spatial.distance import cdist
-
-            return np.min(cdist(pts, A.points), axis=1)
+    def batch(pts):
+        return np.concatenate(
+            [np.min(_candidates(A, b)[1], axis=1) for b in _blocks(pts)]
+        )
 
     def deriv(x, theta):
         return distance_directional_derivative(A, x, theta)
@@ -180,8 +148,8 @@ def distance_function(A: ClosedSetModel) -> DirectionalFunction:
     lo = pts.min(axis=0) - 1.0
     hi = pts.max(axis=0) + 1.0
     return DirectionalFunction(
-        evaluator=ev,
-        dimension=n,
+        evaluator=lambda x: float(np.min(_candidates(A, x[None, :])[1])),
+        dimension=A.dimension,
         derivative=deriv,
         lipschitz=1.0,
         batch_evaluator=batch,
@@ -216,31 +184,29 @@ def medial_scan(
     Multiplicity >= 2 constitutes the detected medial axis.
     """
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
-    n = A.dimension
     if np.isscalar(resolution):
-        resolution = (int(resolution),) * n
-    axes = [np.linspace(lo[i], hi[i], resolution[i]) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
+        resolution = (int(resolution),) * A.dimension
+    pts = _grid_points(lo, hi, resolution)
     cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
     tie = tie_factor * cell
 
     out = []
-    for x in pts:
-        try:
-            dmin, _ = nearest_set(A, x)
-        except ValueError:
-            continue  # on the set
-        _, nearest = nearest_set(A, x, rel_tol=tie / dmin if dmin > 0 else 0.0)
-        dirs = []
-        for y in nearest:
-            u = (x - y) / np.linalg.norm(x - y)
-            if all(
-                math.acos(min(1.0, max(-1.0, float(u @ v)))) > angular_dedup
-                for v in dirs
-            ):
-                dirs.append(u)
-        out.append(MedialPoint(tuple(x), dmin, len(dirs)))
+    for block in _blocks(pts):
+        cands, dist = _candidates(A, block)
+        cands = np.broadcast_to(cands, dist.shape + cands.shape[-1:])
+        for x, c, d, dmin in zip(block, cands, dist, np.min(dist, axis=1)):
+            dmin = float(dmin)
+            if dmin <= A.query_tol:
+                continue  # on the set
+            dirs = []
+            for y in _close_points(c, d, dmin, tie / dmin):
+                u = (x - y) / np.linalg.norm(x - y)
+                if all(
+                    math.acos(min(1.0, max(-1.0, float(u @ v)))) > angular_dedup
+                    for v in dirs
+                ):
+                    dirs.append(u)
+            out.append(MedialPoint(tuple(x), dmin, len(dirs)))
     return out
 
 
@@ -278,9 +244,7 @@ def inf_convolution(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in y_box)
     n = u.dimension
-    axes = [np.linspace(lo[i], hi[i], y_resolution) for i in range(n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    ys = np.stack([m.ravel() for m in mesh], axis=-1)
+    ys = _grid_points(lo, hi, (y_resolution,) * n)
     vals = u.evaluate_many(ys) + np.array([coupling(x, y) for y in ys])
 
     obj = lambda y: u(y) + float(coupling(x, y))  # noqa: E731

@@ -92,6 +92,21 @@ def test_domain_error_exits_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("of", [[], ["--of", "maximal"]])
+def test_zero_direction_exits_1(of, capsys):
+    rc = run(["dirderiv", "--function", "tent", "--point", "2", "--theta", "0"] + of)
+    assert rc == 1
+    assert "nonzero" in capsys.readouterr().err
+
+
+def test_gauss_dimension_parse_error_exits_2(capsys):
+    rc = run(
+        ["dirderiv", "--function", "gauss(0.5,4)", "--point", "0", "--theta", "1"]
+    )
+    assert rc == 2
+    assert "gauss dimension" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -207,6 +222,26 @@ def test_medial_axis_subcommand(tmp_path):
     assert rc == 0
     lines = read_body(out).splitlines()
     assert lines[0] == "x1,x2,dist,multiplicity"
+
+
+def test_medial_axis_repeated_polygon_vertex_exits_1(tmp_path):
+    poly = tmp_path / "poly.json"
+    poly.write_text(json.dumps([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]))
+    out = tmp_path / "m.csv"
+    rc = run(
+        [
+            "medial-axis",
+            "--set-polygon",
+            str(poly),
+            "--box=0,1",
+            "--res",
+            "5",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 1
+    assert not out.exists()
 
 
 def test_infconv_subcommand(tmp_path):

@@ -205,6 +205,45 @@ def test_parse_gauss_with_dimension():
     assert f([0.0, 0.0]) == 1.0
 
 
+@pytest.mark.parametrize("spec", ["gauss(0.5,4)", "gauss(0.5,0)", "gauss(0.5,2.5)"])
+def test_parse_gauss_dimension_out_of_range_rejected(spec):
+    with pytest.raises(SpecParseError) as ei:
+        parse_function_spec(spec)
+    assert ei.value.position == len("gauss(0.5,")
+
+
+def test_parse_dist_one_dimensional():
+    f = parse_function_spec("dist[0, 2]")
+    assert f.dimension == 1
+    assert f([1.5]) == 0.5
+    assert f([-3.0]) == 3.0
+
+
+def test_parse_distpoly_closed_form():
+    f = parse_function_spec("distpoly[(0,0),(2,0),(0,2)]")
+    assert f.dimension == 2
+    # inside, the distance is to the nearest edge
+    assert f([0.5, 0.25]) == pytest.approx(0.25, abs=1e-15)
+    assert f([0.5, 1.0]) == pytest.approx(0.5 / math.sqrt(2.0), abs=1e-15)
+    # outside, across an edge
+    assert f([1.0, -0.5]) == pytest.approx(0.5, abs=1e-15)
+    assert f([2.0, 2.0]) == pytest.approx(math.sqrt(2.0), abs=1e-15)
+    # outside, next to the vertex (2, 0)
+    assert f([2.3, -0.4]) == pytest.approx(0.5, abs=1e-15)
+    assert f([1.0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "spec", ["dist[(-1,0),(1,0),(0.3,0.7)]", "distpoly[(0,0),(2,0),(0.5,1.5)]"]
+)
+def test_distance_specs_batch_matches_scalar(spec):
+    f = parse_function_spec(spec)
+    pts = np.random.default_rng(3).uniform(-2.0, 3.0, size=(200, 2))
+    batch = f.evaluate_many(pts)
+    scalar = np.array([f(p) for p in pts])
+    assert np.max(np.abs(batch - scalar)) <= 1e-15
+
+
 def test_parse_infconv():
     f = parse_function_spec("infconv(abs, 1)")
     assert f([2.0]) == pytest.approx(1.5, abs=1e-6)

@@ -155,6 +155,11 @@ def test_envelope_refuses_at_kink_when_lambda_zero():
         maximal_directional_derivative(tent(), [1.0], [1.0])
 
 
+def test_envelope_zero_direction_rejected():
+    with pytest.raises(ValueError, match="nonzero"):
+        maximal_directional_derivative(tent(), [2.0], [0.0])
+
+
 # ---------------------------------------------------------------------------
 # translation bound and Lipschitz audit
 

@@ -124,6 +124,14 @@ def test_quotient_ladder_shape_and_values():
     assert np.allclose(q, [1.0, 1.0, 1.0])
 
 
+def test_zero_direction_rejected():
+    f = abs1d()
+    with pytest.raises(ValueError, match="nonzero"):
+        quotient_ladder(f, [0.5], [0.0])
+    with pytest.raises(ValueError, match="nonzero"):
+        directional_derivative_detail(f, [0.5], [0.0])
+
+
 # ---------------------------------------------------------------------------
 # tau
 

@@ -49,10 +49,40 @@ def test_nearest_square_center_four_midpoints():
     assert got == mids
 
 
+def test_nearest_outside_corner_counts_shared_vertex_once():
+    A = ClosedSetModel.from_polygon(SQUARE)
+    d, near = nearest_set(A, [1.5, 1.5])
+    assert d == pytest.approx(math.sqrt(0.5), abs=1e-12)
+    assert len(near) == 1
+    assert np.array_equal(near[0], [1.0, 1.0])
+
+
 def test_nearest_on_set_rejected():
     A = ClosedSetModel.from_points([[0.0, 0.0]])
     with pytest.raises(ValueError):
         nearest_set(A, [0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "verts", [SQUARE + [SQUARE[0]], SQUARE[:2] + [SQUARE[1]] + SQUARE[2:]]
+)
+def test_polygon_zero_length_edge_rejected(verts):
+    # a repeated vertex, at the end or inside, would make the edge
+    # projection 0/0 and every distance nan
+    with pytest.raises(ValueError, match="zero-length edge"):
+        ClosedSetModel.from_polygon(verts)
+    with pytest.raises(ValueError, match="zero-length edge"):
+        parse_function_spec(
+            "distpoly[" + ",".join(f"({x:g},{y:g})" for x, y in verts) + "]"
+        )
+
+
+def test_medial_scan_box_dimension_checked():
+    A = ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="resolution"):
+        medial_scan(A, ([-0.5], [0.5]), 9)
+    with pytest.raises(ValueError, match="resolution"):
+        medial_scan(A, ([-0.5, -0.5], [0.5, 0.5]), (9,))
 
 
 def test_empty_set_rejected():
@@ -93,6 +123,22 @@ def test_distance_function_one_lipschitz():
         if gap < 1e-9:
             continue
         assert abs(g(x) - g(y)) <= gap * (1.0 + 1e-9)
+
+
+def test_polygon_distance_matches_per_edge_reference():
+    verts = np.array([[0.0, 0.0], [2.0, 0.3], [1.4, 1.7], [-0.3, 1.1]])
+    g = distance_function(ClosedSetModel.from_polygon(verts))
+    pts = np.random.default_rng(5).uniform(-1.0, 3.0, size=(2500, 2))  # several blocks
+    ref = []
+    for p in pts:
+        best = math.inf
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+            ab = b - a
+            t = min(max(float((p - a) @ ab) / float(ab @ ab), 0.0), 1.0)
+            best = min(best, float(np.linalg.norm(p - (a + t * ab))))
+        ref.append(best)
+    # summation order differs from the loop: allow a few ulps at scale 4
+    assert np.max(np.abs(g.evaluate_many(pts) - ref)) <= 8 * 4.0 * np.finfo(float).eps
 
 
 def test_distance_formula_vs_fd():
