@@ -134,6 +134,14 @@ def absolute(f: DirectionalFunction) -> DirectionalFunction:
 # grid-sampled functions
 
 
+def _finite_point(x) -> np.ndarray:
+    """x as a 1D float array; a point with a non-finite coordinate is refused."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"point {x.tolist()} must have finite coordinates")
+    return x
+
+
 def _grid_points(lo, hi, resolution) -> np.ndarray:
     """The (m, n) nodes of the box grid [lo, hi], row-major."""
     if not len(lo) == len(hi) == len(resolution):
@@ -231,7 +239,7 @@ class GridFunction:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
             fields = [s for s in header.split(",") if s]
-            n = int(fields[0])
+            n = int(fields[0]) if fields else 0
             if len(fields) != 1 + 3 * n:
                 raise ValueError(
                     f"grid header needs 1+3n fields for n={n}, got {len(fields)}"
@@ -664,7 +672,10 @@ def parse_function_spec(text: str) -> DirectionalFunction:
         path = normalized[len("grid:") :].strip()
         if not path:
             raise SpecParseError("grid: requires a file path", 5)
-        return GridFunction.from_csv(path).as_function()
+        try:
+            return GridFunction.from_csv(path).as_function()
+        except ValueError as exc:
+            raise SpecParseError(f"malformed grid file {path}: {exc}", 5) from exc
     sc = _Scanner(normalized)
     f = _parse_expr(sc)
     sc.skip_ws()

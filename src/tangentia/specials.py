@@ -11,7 +11,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .funcspace import DirectionalFunction, _grid_points
+from .funcspace import DirectionalFunction, _finite_point, _grid_points
 
 __all__ = [
     "ClosedSetModel",
@@ -110,7 +110,7 @@ def nearest_set(
     Exact enumeration over points and polygon edges.  x must lie off the
     set.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_point(x)
     cands, d = _candidates(A, x[None, :])
     dmin = float(np.min(d))
     if dmin <= A.query_tol:
@@ -186,6 +186,8 @@ def medial_scan(
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     if np.isscalar(resolution):
         resolution = (int(resolution),) * A.dimension
+    if min(resolution) < 2:
+        raise ValueError("need at least 2 grid points per axis")
     pts = _grid_points(lo, hi, resolution)
     cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
     tie = tie_factor * cell

@@ -107,6 +107,59 @@ def test_gauss_dimension_parse_error_exits_2(capsys):
     assert "gauss dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--function", "abs", "--point", "nan"],
+        ["gamma", "--function", "abs", "--point", "nan"],
+        ["dirderiv", "--function", "dist[(-1,0),(1,0)]", "--point", "nan,0"]
+        + ["--theta", "1,0"],
+    ],
+)
+def test_non_finite_point_exits_1(argv, capfd):
+    # capfd, not capsys: LAPACK writes its complaints to the C-level stderr
+    assert run(argv) == 1
+    err = capfd.readouterr().err
+    assert "finite" in err
+    assert "DLASCL" not in err
+
+
+def test_medial_axis_single_point_axis_exits_1(tmp_path):
+    out = tmp_path / "m.csv"
+    rc = run(
+        [
+            "medial-axis",
+            "--set-points=-1,0;1,0",
+            "--box=-0.5,0.5",
+            "--res",
+            "1",
+            "--out",
+            str(out),
+        ]
+    )
+    assert rc == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header", ["2,3", "", "1,x,0,1"])
+def test_malformed_grid_file_exits_2(header, tmp_path, capsys):
+    grid = tmp_path / "g.csv"
+    grid.write_text(header + "\n0\n1\n0\n")
+    rc = run(
+        ["dirderiv", "--function", f"grid:{grid}", "--point", "0.5", "--theta", "1"]
+    )
+    assert rc == 2
+    assert "malformed grid file" in capsys.readouterr().err
+
+
+def test_missing_grid_file_exits_1(tmp_path):
+    missing = tmp_path / "none.csv"
+    rc = run(
+        ["dirderiv", "--function", f"grid:{missing}", "--point", "0.5", "--theta", "1"]
+    )
+    assert rc == 1
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 

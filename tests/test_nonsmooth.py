@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from tangentia import nonsmooth
 from tangentia.errors import LadderDivergenceError
@@ -53,6 +56,62 @@ def test_minimax_fit_symmetric_outliers():
     coeffs, res = minimax_fit(A, y)
     assert abs(coeffs[0]) < 1e-8
     assert res == pytest.approx(1.0, abs=1e-9)
+
+
+def test_minimax_fit_beats_least_squares_on_abs_cos():
+    # |cos phi| on 5 equally spaced directions: by symmetry the best fit
+    # is a*cos phi with 1 - a = cos(36 deg) (1 + a), residual 2/sqrt(5);
+    # least squares is off by 0.15, so only the LP reaches it
+    phi = 2.0 * np.pi * np.arange(5) / 5
+    A = np.column_stack([np.cos(phi), np.sin(phi)])
+    y = np.abs(np.cos(phi))
+    coeffs, res = minimax_fit(A, y)
+    assert res == pytest.approx(2.0 / math.sqrt(5.0), abs=1e-12)
+    assert np.allclose(coeffs, [1.0 - 2.0 / math.sqrt(5.0), 0.0], atol=1e-12)
+    c_ls, *_ = np.linalg.lstsq(A, y, rcond=None)
+    assert np.max(np.abs(y - A @ c_ls)) > res + 0.1
+
+
+def _chebyshev_dual(A, y):
+    """max sum_i u_i y_i over sum |u_i| <= 1 with A^T u = 0 (u = p - q).
+
+    The LP dual of min_c max_i |y_i - A_i . c|, so equal to its optimum.
+    Feasible u only see the part of y orthogonal to the columns of A;
+    the LP is posed on that part scaled to unit max, where the solver's
+    absolute tolerances are small against the optimum.
+    """
+    m, d = A.shape
+    Q, _ = np.linalg.qr(A)
+    y = y - Q @ (Q.T @ y)
+    scale = np.max(np.abs(y))
+    if scale == 0.0:
+        return 0.0
+    lp = linprog(
+        np.concatenate([-y, y]) / scale,
+        A_eq=np.vstack([np.hstack([A.T, -A.T]), np.ones((1, 2 * m))]),
+        b_eq=np.concatenate([np.zeros(d), [1.0]]),
+        bounds=[(0.0, None)] * (2 * m),
+    )
+    assert lp.status == 0
+    return -lp.fun * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    extra=st.integers(1, 37),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-6, 1.0]),
+)
+def test_minimax_fit_matches_dual_lp(d, extra, seed, noise):
+    # exact, nearly exact and random data
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d + extra, d))
+    y = A @ rng.standard_normal(d) + noise * rng.standard_normal(d + extra)
+    coeffs, res = minimax_fit(A, y)
+    assert res == np.max(np.abs(y - A @ coeffs))
+    scale = 1.0 + np.max(np.abs(y))
+    assert res == pytest.approx(_chebyshev_dual(A, y), abs=1e-9 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +282,15 @@ def test_tau_trivial_subspace_rejected():
 
     with pytest.raises(ValueError):
         tau(abs1d(), [0.0], semilinear(1))
+
+
+@pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, math.inf]])
+def test_non_finite_point_rejected(x):
+    f = abs_x1_2d()
+    with pytest.raises(ValueError, match="finite"):
+        tau(f, x, full_space(2))
+    with pytest.raises(ValueError, match="finite"):
+        gamma(f, x)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,23 @@ def test_polygon_zero_length_edge_rejected(verts):
         )
 
 
+def test_nearest_non_finite_point_rejected():
+    A = ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        nearest_set(A, [math.nan, 0.0])
+    with pytest.raises(ValueError, match="finite"):
+        distance_directional_derivative(A, [math.nan, 0.0], [1.0, 0.0])
+
+
+def test_medial_scan_single_point_axis_rejected():
+    # one node per axis has no cell size to set the tie tolerance from
+    A = ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match="2 grid points"):
+        medial_scan(A, ([-0.5, -0.5], [0.5, 0.5]), 1)
+    with pytest.raises(ValueError, match="2 grid points"):
+        medial_scan(A, ([-0.5, -0.5], [0.5, 0.5]), (9, 1))
+
+
 def test_medial_scan_box_dimension_checked():
     A = ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="resolution"):
