@@ -149,6 +149,8 @@ def _grid_points(lo, hi, resolution) -> np.ndarray:
             f"grid box corners have {len(lo)} and {len(hi)} coordinates "
             f"but the resolution has {len(resolution)} entries"
         )
+    if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
+        raise ValueError(f"grid box corners {lo} and {hi} must be finite")
     axes = [np.linspace(lo[i], hi[i], r) for i, r in enumerate(resolution)]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)

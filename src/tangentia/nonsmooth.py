@@ -150,7 +150,7 @@ def directional_derivative_detail(
     tolerance: float = 1e-3,
 ) -> DerivativeEstimate:
     """One-sided directional derivative with the rung trace attached."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_point(x)
     theta = _unit_direction(theta)
     ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
     if len(ladder) < 3 or np.any(np.diff(ladder) >= 0) or np.any(ladder <= 0):

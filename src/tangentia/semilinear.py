@@ -61,17 +61,16 @@ class SemiLinearSubspace:
         return self.linear_dim == 0 and not self.rays
 
     def project_linear(self, w: np.ndarray) -> np.ndarray:
+        """Orthogonal projection onto V of a vector (n,) or of rows (m, n)."""
         if self.linear_dim == 0:
             return np.zeros_like(w)
-        return self.basis @ (self.basis.T @ w)
+        return (w @ self.basis) @ self.basis.T
 
     def _ray_perps(self) -> np.ndarray:
         """Unit components of the rays orthogonal to V, shape (k, n)."""
-        out = []
-        for r in self.rays:
-            p = r - self.project_linear(r)
-            out.append(p / np.linalg.norm(p))
-        return np.array(out) if out else np.zeros((0, self.dimension))
+        R = np.reshape(self.rays, (len(self.rays), self.dimension))
+        Q = R - self.project_linear(R)
+        return Q / np.linalg.norm(Q, axis=1, keepdims=True)
 
     def span_basis(self) -> np.ndarray:
         """Orthonormal basis of span(W), shape (n, m)."""
@@ -87,26 +86,26 @@ class SemiLinearSubspace:
             return np.zeros((self.dimension, 0))
         return np.stack(cols, axis=1)
 
-    def contains(self, w, tol: float = 1e-9) -> bool:
-        """Membership: w = v + sum lambda_i b_i with v in V, lambda_i >= 0."""
+    def contains(self, w, tol: float = 1e-9) -> "bool | np.ndarray":
+        """Membership: w = v + sum lambda_i b_i with v in V, lambda_i >= 0.
+
+        A vector (n,) gives a bool; rows (m, n) give a bool array (m,).
+        The residual |w - proj_W(w)| is compared with tol * (1 + |w|).
+        """
         w = np.asarray(w, dtype=float)
-        perp = w - self.project_linear(w)
-        scale = 1.0 + float(np.linalg.norm(w))
-        if not self.rays:
-            return float(np.linalg.norm(perp)) <= tol * scale
-        P = self._ray_perps()  # (k, n)
-        resid = _cone_residual(perp, P)
-        return resid <= tol * scale
+        resid = np.linalg.norm(w - self.cone_project(w), axis=-1)
+        inside = resid <= tol * (1.0 + np.linalg.norm(w, axis=-1))
+        return bool(inside) if w.ndim == 1 else inside
 
     def cone_project(self, w) -> np.ndarray:
-        """Euclidean projection onto the (convex) set W."""
+        """Euclidean projection onto the (convex) set W.
+
+        Takes a vector (n,) or rows (m, n) and returns the same shape.
+        """
         w = np.asarray(w, dtype=float)
         v = self.project_linear(w)
-        perp = w - v
-        if not self.rays:
-            return v
-        P = self._ray_perps()
-        return v + _cone_project(perp, P)
+        cone = _cone_project(np.atleast_2d(w - v), self._ray_perps())
+        return v + cone.reshape(w.shape)
 
     def __repr__(self):
         return (
@@ -115,32 +114,28 @@ class SemiLinearSubspace:
         )
 
 
-def _cone_project(z: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Project z onto cone(P rows); P rows are unit and k <= 2."""
+def _cone_project(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """Project each row of Z (m, n) onto cone(P rows); P rows are unit, k <= 2.
+
+    A row whose interior solve has nonnegative coefficients maps to that
+    combination; any other row maps to the nearest of the origin and its
+    clipped edge projections t_i p_i, t_i = max(p_i . z, 0).  Since
+    |z - t_i p_i|^2 = |z|^2 - t_i^2, that is the edge with the largest
+    t_i (the first on ties), and the origin when every t_i is 0.
+    """
     k = P.shape[0]
     if k == 0:
-        return np.zeros_like(z)
+        return np.zeros_like(Z)
+    t = np.maximum(Z @ P.T, 0.0)  # (m, k)
+    i = np.argmax(t, axis=1)
+    edge = t[np.arange(len(Z)), i, None] * P[i]
     if k == 1:
-        lam = max(float(P[0] @ z), 0.0)
-        return lam * P[0]
-    G = P @ P.T
-    rhs = P @ z
+        return edge
     try:
-        lam = np.linalg.solve(G, rhs)
+        lam = np.linalg.solve(P @ P.T, P @ Z.T).T
     except np.linalg.LinAlgError:
-        lam = np.array([-1.0, -1.0])  # parallel rays; fall through to edges
-    if np.all(lam >= 0.0):
-        interior = P.T @ lam
-        return interior
-    cands = [np.zeros_like(z)]
-    for i in range(2):
-        cands.append(max(float(P[i] @ z), 0.0) * P[i])
-    dists = [np.linalg.norm(z - c) for c in cands]
-    return cands[int(np.argmin(dists))]
-
-
-def _cone_residual(z: np.ndarray, P: np.ndarray) -> float:
-    return float(np.linalg.norm(z - _cone_project(z, P)))
+        return edge  # parallel rays span no interior
+    return np.where(np.all(lam >= 0.0, axis=1)[:, None], lam @ P, edge)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:
@@ -166,6 +161,8 @@ def semilinear(
     for v in vecs + ray_vecs:
         if v.shape != (dimension,):
             raise ValueError(f"generator shape {v.shape} != ({dimension},)")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"generator {v.tolist()} must have finite coordinates")
 
     def orthobasis(cols):
         if not cols:
@@ -173,9 +170,8 @@ def semilinear(
         M = np.stack(cols, axis=1)
         u, s, _ = np.linalg.svd(M, full_matrices=False)
         keep = s > 1e-12 * max(1.0, s[0] if len(s) else 1.0)
-        B = u[:, keep]
-        B = np.stack([_fix_sign(B[:, j]) for j in range(B.shape[1])], axis=1)
-        return B
+        B = u[:, keep]  # no column at all when every generator is zero
+        return np.stack([_fix_sign(c) for c in B.T], axis=1) if B.shape[1] else B
 
     B = orthobasis(vecs)
 
@@ -276,12 +272,10 @@ def _surface_directions(W: SemiLinearSubspace, N: int, offset: float) -> np.ndar
         raise ValueError("the trivial subspace has no unit vectors")
     S = W.span_basis()
     if m == 1:
-        u = S[:, 0]
-        if not W.rays:  # full line: alternate the two endpoints
-            reps = [u if i % 2 == 0 else -u for i in range(N)]
-            return np.array(reps)
-        r = W.rays[0] if W.contains(W.rays[0]) else u
-        return np.tile(r / np.linalg.norm(r), (N, 1))
+        if W.rays:  # a single ray: its unit vector, N times
+            return np.tile(W.rays[0], (N, 1))
+        signs = np.where(np.arange(N) % 2 == 0, 1.0, -1.0)
+        return signs[:, None] * S[:, 0]  # full line: alternate the two endpoints
     M = max(N, 16)
     for _ in range(12):
         if m == 2:
@@ -294,10 +288,10 @@ def _surface_directions(W: SemiLinearSubspace, N: int, offset: float) -> np.ndar
             rho = np.sqrt(np.clip(1.0 - z * z, 0.0, None))
             local = np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=-1)
         cands = local @ S.T
-        members = [c for c in cands if W.contains(c, tol=1e-9)]
+        members = cands[W.contains(cands)]
         if len(members) >= N:
             idx = np.linspace(0, len(members) - 1, N).round().astype(int)
-            return np.array([members[i] for i in idx])
+            return members[idx]
         M *= 2
     raise ValueError("could not sample enough directions in W")
 
@@ -337,14 +331,9 @@ def hc_distance(W1: SemiLinearSubspace, W2: SemiLinearSubspace, N: int = 720) ->
         if A.is_trivial():
             return 0.0  # the origin lies in every closed cone
         pts = _surface_directions(A, N, 0.0)
-        worst = 0.0
-        for p in pts:
-            q = B.cone_project(p)
-            nq = np.linalg.norm(q)
-            if nq > 1.0:
-                q = q / nq
-            worst = max(worst, float(np.linalg.norm(p - q)))
-        return worst
+        q = B.cone_project(pts)
+        q /= np.maximum(np.linalg.norm(q, axis=1), 1.0)[:, None]  # clip to the ball
+        return float(np.max(np.linalg.norm(pts - q, axis=1)))
 
     return max(directed(W1, W2), directed(W2, W1))
 

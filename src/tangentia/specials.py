@@ -243,7 +243,7 @@ def inf_convolution(
     """
     from scipy.optimize import minimize
 
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _finite_point(x)
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in y_box)
     n = u.dimension
     ys = _grid_points(lo, hi, (y_resolution,) * n)

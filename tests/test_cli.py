@@ -114,6 +114,8 @@ def test_gauss_dimension_parse_error_exits_2(capsys):
         ["gamma", "--function", "abs", "--point", "nan"],
         ["dirderiv", "--function", "dist[(-1,0),(1,0)]", "--point", "nan,0"]
         + ["--theta", "1,0"],
+        ["dirderiv", "--function", "tent", "--point", "nan", "--theta", "1"],
+        ["infconv", "--function", "abs", "--point", "nan", "--y-box=-4,4", "--t", "1"],
     ],
 )
 def test_non_finite_point_exits_1(argv, capfd):
@@ -122,6 +124,25 @@ def test_non_finite_point_exits_1(argv, capfd):
     err = capfd.readouterr().err
     assert "finite" in err
     assert "DLASCL" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tau", "--function", "abs", "--point", "0", "--subspace", "ray=[nan]"],
+        ["tau", "--function", "abs", "--point", "0", "--subspace", "V=[inf]"],
+        ["tau", "--function", "maxaffine[(1,0,0),(-1,0,0)]", "--point", "0,0"]
+        + ["--subspace", "V=[nan,1]"],
+        ["singular-set", "--function", "abs", "--box=nan,1", "--res", "5"],
+    ],
+)
+def test_non_finite_generator_or_box_exits_1(argv, tmp_path, capfd):
+    out = tmp_path / "o.json"
+    assert run(argv + ["--out", str(out)]) == 1
+    err = capfd.readouterr().err
+    assert "finite" in err
+    assert "SVD" not in err
+    assert not out.exists()
 
 
 def test_medial_axis_single_point_axis_exits_1(tmp_path):

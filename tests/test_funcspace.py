@@ -302,6 +302,29 @@ def test_grid_degenerate_box_rejected():
         GridFunction((0.0,), (0.0,), (4,), np.zeros(4))
 
 
+@pytest.mark.parametrize("lo", [[math.nan, 0.0], [0.0, -math.inf]])
+def test_grid_non_finite_box_rejected(lo):
+    # every residual on a nan grid is nan, and nan >= tol is false: a
+    # scan over such a box would flag nothing and report success
+    from tangentia import maxop, nonsmooth, specials
+
+    box = (lo, [1.0, 1.0])
+    f = parse_function_spec("maxaffine[(1,0,0),(-1,0,0)]")
+    A = specials.ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
+    coupling = lambda x, y: float(np.sum((x - y) ** 2))  # noqa: E731
+    calls = [
+        lambda: funcspace._grid_points(*box, (3, 3)),
+        lambda: GridFunction.from_function(f, *box, (3, 3)),
+        lambda: nonsmooth.singular_scan(f, box, 5),
+        lambda: specials.medial_scan(A, box, 5),
+        lambda: specials.inf_convolution(f, coupling, [0.0, 0.0], box, y_resolution=5),
+        lambda: maxop.maximal_field(f, box, 3),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="finite"):
+            call()
+
+
 def test_grid_sample_count_checked():
     with pytest.raises(ValueError):
         GridFunction((0.0,), (1.0,), (4,), np.zeros(5))

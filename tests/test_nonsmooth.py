@@ -168,6 +168,13 @@ def test_directional_derivative_oracle_records_numeric():
     assert d.numeric == pytest.approx(-1.0, abs=1e-6)
 
 
+def test_directional_derivative_oracle_non_finite_point_rejected():
+    # the oracle would answer at nan; the point is checked before it is asked
+    tent = parse_function_spec("tent")
+    with pytest.raises(ValueError, match="finite"):
+        directional_derivative_detail(tent, [math.nan], [1.0])
+
+
 def test_ladder_divergence_detected():
     f = DirectionalFunction(
         evaluator=lambda x: math.sqrt(abs(float(x[0]))), dimension=1

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import nnls
 
 from tangentia.errors import ConsistencyError
 from tangentia.semilinear import (
@@ -43,6 +46,12 @@ def test_degenerate_zero_ray_dropped():
     assert W.is_trivial()
 
 
+def test_zero_basis_vector_gives_trivial_subspace():
+    W = semilinear(2, [np.zeros(2)])
+    assert W.is_trivial()
+    assert W.basis.shape == (2, 0)
+
+
 def test_more_than_two_rays_rejected():
     rays = [e1, e2, np.array([-1.0, -1.0]) / math.sqrt(2)]
     with pytest.raises(ValueError):
@@ -66,6 +75,15 @@ def test_canonicalization_idempotent():
         assert equal(W, W2)
 
 
+@pytest.mark.parametrize(
+    "basis, rays", [([[math.nan, 1.0]], []), ([], [[math.inf, 0.0]]), ([], [[math.nan]])]
+)
+def test_non_finite_generator_rejected(basis, rays):
+    n = len((basis + rays)[0])
+    with pytest.raises(ValueError, match="finite"):
+        semilinear(n, basis, rays)
+
+
 def test_generators_are_members():
     W = semilinear(3, [np.array([1.0, 1.0, 0.0])], [np.array([0.0, 0.0, 2.0])])
     for j in range(W.linear_dim):
@@ -74,6 +92,67 @@ def test_generators_are_members():
     for r in W.rays:
         assert W.contains(r)
         assert not W.contains(-r)
+
+
+# ---------------------------------------------------------------------------
+# cone projection and membership against an NNLS oracle
+
+# generators on a 0.01 grid: parallel, opposite, zero and in-V generators
+# occur, while distinct ray directions stay far enough apart for the
+# interior 2x2 solve to be well conditioned
+_coord = st.integers(-200, 200).map(lambda i: i / 100.0)
+
+
+@st.composite
+def _cone_cases(draw):
+    n = draw(st.integers(1, 3))
+    vec = st.lists(_coord, min_size=n, max_size=n)
+    W = semilinear(n, draw(st.lists(vec, max_size=n)), draw(st.lists(vec, max_size=2)))
+    point = st.lists(
+        st.floats(-5.0, 5.0, allow_subnormal=False), min_size=n, max_size=n
+    )
+    return W, np.array(draw(st.lists(point, min_size=1, max_size=8)))
+
+
+def _nnls_projection(W, w):
+    """proj_V(w) plus the NNLS fit of the remainder by the rays' V-perps."""
+    B = W.basis
+    v = B @ (B.T @ w)
+    if not W.rays:
+        return v
+    perps = [r - B @ (B.T @ r) for r in W.rays]
+    P = np.stack([p / np.linalg.norm(p) for p in perps], axis=1)  # (n, k)
+    lam, _ = nnls(P, w - v)
+    return v + P @ lam
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cone_cases())
+def test_cone_project_matches_nnls_oracle(case):
+    W, pts = case
+    scale = 1.0 + np.linalg.norm(pts, axis=1)
+    proj = W.cone_project(pts)
+    oracle = np.array([_nnls_projection(W, w) for w in pts])
+    assert proj.shape == pts.shape
+    assert np.all(np.linalg.norm(proj - oracle, axis=1) <= 1e-9 * scale)
+    # projections are members; points far from their projection are not
+    assert np.all(W.contains(proj))
+    gap = pts - oracle
+    dist = np.linalg.norm(gap, axis=1)
+    far = dist > 1e-6 * scale
+    assert not np.any(W.contains(pts)[far])
+    # the tolerance is 1e-9 (1 + |w|): step off W along the outer normal
+    base = oracle[far]
+    step = (1.0 + np.linalg.norm(base, axis=1))[:, None] * gap[far] / dist[far, None]
+    assert np.all(W.contains(base + 1e-10 * step))
+    assert not np.any(W.contains(base + 1e-8 * step))
+    # a batch gives each row's own result, up to BLAS summation order
+    rows = np.array([W.cone_project(w) for w in pts])
+    assert np.all(np.abs(proj - rows) <= 1e-14 * scale[:, None])
+    verdicts = W.contains(pts)
+    assert verdicts.dtype == bool and verdicts.shape == (len(pts),)
+    assert verdicts.tolist() == [W.contains(w) for w in pts]
+    assert all(type(W.contains(w)) is bool for w in pts)
 
 
 # ---------------------------------------------------------------------------

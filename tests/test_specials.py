@@ -279,6 +279,13 @@ def test_infconv_boundary_strict_raises():
         )
 
 
+@pytest.mark.parametrize("x", [[math.nan], [math.inf]])
+def test_infconv_non_finite_point_rejected(x):
+    u = parse_function_spec("abs")
+    with pytest.raises(ValueError, match="finite"):
+        inf_convolution(u, quad_coupling(1.0), x, ([-4.0], [4.0]))
+
+
 def test_infconv_2d():
     u = DirectionalFunction(
         evaluator=lambda y: float(np.abs(y).sum()), dimension=2
