@@ -46,7 +46,6 @@ from .nonsmooth import (
 )
 from .maxop import (
     RadiiSet,
-    SearchParams,
     maximal,
     maximal_directional_derivative,
     maximal_field,

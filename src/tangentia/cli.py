@@ -255,6 +255,8 @@ def cmd_infconv(cfg: ExperimentConfig) -> int:
     x = _parse_point(o["point"])
     lo, hi = _parse_box(o["y_box"], u.dimension)
     t = o["t"]
+    if not 0.0 < t < math.inf:
+        raise ValueError(f"--t must be finite and > 0, got {t}")
     coupling = lambda xx, yy: float(np.sum((xx - yy) ** 2)) / (2.0 * t)  # noqa: E731
     value, mins, boundary = specials.inf_convolution(
         u, coupling, x, (lo, hi), y_resolution=o["y_res"], strict=o["strict"]

@@ -190,22 +190,19 @@ class GridFunction:
             for i in range(self.dimension)
         ]
 
-    def interpolate(self, points: np.ndarray) -> np.ndarray:
+    def _interpolator(self):
         from scipy.interpolate import RegularGridInterpolator
 
         shaped = self.samples.reshape(self.resolution)
-        interp = RegularGridInterpolator(
+        return RegularGridInterpolator(
             self.axes(), shaped, method="linear", bounds_error=True
         )
-        return interp(np.atleast_2d(points))
+
+    def interpolate(self, points: np.ndarray) -> np.ndarray:
+        return self._interpolator()(np.atleast_2d(points))
 
     def as_function(self) -> DirectionalFunction:
-        from scipy.interpolate import RegularGridInterpolator
-
-        shaped = self.samples.reshape(self.resolution)
-        interp = RegularGridInterpolator(
-            self.axes(), shaped, method="linear", bounds_error=True
-        )
+        interp = self._interpolator()
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
         return DirectionalFunction(

@@ -1,9 +1,10 @@
 """The centered maximal operator, its radius-restricted variant, best-radii
 sets, and the envelope formula for its directional derivatives.
 
-The radius search is a log-spaced grid with golden-section refinement on
-every bracketed local maximum: the objective r -> average of |f| on
-B(x, r) is multimodal in general, so unimodal search alone is unsound.
+The radius search is a log-spaced grid with Brent's bounded-method
+refinement on every bracketed local maximum: the objective r -> average
+of |f| on B(x, r) is multimodal in general, so unimodal search alone is
+unsound.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and
 value(inf) = the flat tail of the averages.
 """
@@ -12,15 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import MaximalBlowupError
 from .funcspace import (
-    DEFAULT_QUADRATURE,
     DirectionalFunction,
-    QuadratureConfig,
     _grid_points,
     absolute,
     ball_average,
@@ -31,7 +30,6 @@ from .nonsmooth import _unit_direction, directional_derivative, tau
 from .semilinear import full_space
 
 __all__ = [
-    "SearchParams",
     "RadiiSet",
     "EMPIRICAL_CONSTANTS",
     "maximal",
@@ -48,16 +46,13 @@ __all__ = [
 # empirical stand-ins for the unspecified dimensional constants, not claims
 EMPIRICAL_CONSTANTS = {1: 1.0, 2: 4.0, 3: 8.0}
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class SearchParams:
-    grid_points: int = 512
-    rel_tol: float = 1e-8  # radii within this relative gap of the best are kept
-    refine_tol: float = 1e-10  # golden-section bracket width (relative)
-    r_min_floor: float = 1e-3
-    overflow_guard: float = 1e12
+_GRID_POINTS = 512  # log-spaced radii of the coarse search
+_REL_TOL = 1e-8  # radii within this relative gap of the best are kept
+_REFINE_TOL = 1e-10  # Brent bracket width (relative)
+_R_MIN_FLOOR = 1e-3  # smallest radius searched when lambda is 0
+_OVERFLOW_GUARD = 1e12  # ball averages above this mean M f is infinite
+# the envelope formula at lambda = 0 needs tau below this at x
+_DIFFERENTIABILITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -79,7 +74,7 @@ class RadiiSet:
         return tuple(r for r in self.radii if r > 0.0 and math.isfinite(r))
 
 
-def _golden_max(fn, a: float, b: float, rel_tol: float):
+def _brent_max(fn, a: float, b: float):
     """Maximize fn on the bracket [a, b]; returns (argmax, max).
 
     Brent's bounded minimizer on -fn; the objective is smooth inside a
@@ -91,7 +86,7 @@ def _golden_max(fn, a: float, b: float, rel_tol: float):
         lambda r: -fn(r),
         bounds=(a, b),
         method="bounded",
-        options={"xatol": rel_tol * (1.0 + abs(a) + abs(b))},
+        options={"xatol": _REFINE_TOL * (1.0 + abs(a) + abs(b))},
     )
     r_star, v_star = float(res.x), float(-res.fun)
     # the bounded solver never evaluates the endpoints themselves
@@ -116,32 +111,31 @@ def maximal(
     x,
     lam: float = 0.0,
     r_max: Optional[float] = None,
-    search: SearchParams = SearchParams(),
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> Tuple[float, RadiiSet]:
     """sup over r in [lam, r_max] of the average of |f| on B(x, r).
 
     Returns the value together with all maximizing radii (within the
-    search tolerance).  When lam = 0 the candidate r = 0 contributes
-    |f(x)|; a non-decaying tail at r_max adds the infinity marker.
+    relative gap _REL_TOL of the best).  When lam = 0 the candidate r = 0
+    contributes |f(x)|; a non-decaying tail at r_max adds the infinity
+    marker.
     """
     if not f.continuous:
         raise ValueError("the maximal-operator pipeline requires continuous f")
-    if lam < 0:
-        raise ValueError(f"lambda must be >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     absf = absolute(f)
     if r_max is None:
         r_max = _default_r_max(f, x)
-    if r_max <= max(lam, search.r_min_floor):
+    if r_max <= max(lam, _R_MIN_FLOOR):
         raise ValueError("r_max must exceed the lower end of the search range")
 
-    r_lo = max(lam, search.r_min_floor)
-    grid = np.geomspace(r_lo, r_max, search.grid_points)
+    r_lo = max(lam, _R_MIN_FLOOR)
+    grid = np.geomspace(r_lo, r_max, _GRID_POINTS)
     if lam > 0:
         grid[0] = lam
-    avgs = ball_average_radii(absf, x, grid, quadrature)
-    if np.max(avgs) > search.overflow_guard:
+    avgs = ball_average_radii(absf, x, grid)
+    if np.max(avgs) > _OVERFLOW_GUARD:
         raise MaximalBlowupError(
             f"ball averages exceed the overflow guard at x={tuple(x)}: "
             "the maximal function is infinite there"
@@ -160,7 +154,7 @@ def maximal(
         rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True})
         return value, rset
 
-    fn = lambda r: ball_average(absf, x, r, quadrature)  # noqa: E731
+    fn = lambda r: ball_average(absf, x, r)  # noqa: E731
     interior = np.flatnonzero(
         (avgs[1:-1] >= avgs[:-2]) & (avgs[1:-1] >= avgs[2:])
     ) + 1
@@ -187,16 +181,14 @@ def maximal(
     if avgs[-1] >= avgs[-2] and avgs[-1] >= grid_best - margin:
         brackets.append((grid[-2], grid[-1]))
     for a, b in brackets:
-        r_star, v_star = _golden_max(fn, a, b, search.refine_tol)
-        if lam > 0 and r_star < lam:
-            r_star, v_star = lam, fn(lam)
+        r_star, v_star = _brent_max(fn, a, b)
         candidates.append((float(r_star), float(v_star)))
 
     best = max(v for _, v in candidates)
     keep = [
         (r, v)
         for r, v in candidates
-        if v >= best - search.rel_tol * (1.0 + abs(best))
+        if v >= best - _REL_TOL * (1.0 + abs(best))
     ]
     # merge refinement duplicates
     keep.sort()
@@ -211,7 +203,7 @@ def maximal(
             merged.append((r, v))
 
     radii = [r for r, _ in merged]
-    tail_high = avgs[-1] >= best - search.rel_tol * (1.0 + abs(best))
+    tail_high = avgs[-1] >= best - _REL_TOL * (1.0 + abs(best))
     if tail_high and not flat:
         radii.append(math.inf)  # r_max was not large enough to separate the tail
     rset = RadiiSet(
@@ -229,10 +221,6 @@ def maximal_directional_derivative(
     x,
     theta,
     lam: float = 0.0,
-    r_max: Optional[float] = None,
-    search: SearchParams = SearchParams(),
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-    differentiability_tol: float = 1e-3,
 ) -> float:
     """Envelope formula: sup over the best radii of the shell derivative.
 
@@ -246,12 +234,12 @@ def maximal_directional_derivative(
     absf = absolute(f)
     if lam == 0.0:
         t = tau(f, x, full_space(f.dimension), max(8, 2 * f.dimension))
-        if t.value >= differentiability_tol:
+        if t.value >= _DIFFERENTIABILITY_TOL:
             raise ValueError(
                 f"envelope formula at lambda=0 needs f differentiable at "
-                f"{tuple(x)}; residual {t.value:.3e} >= {differentiability_tol}"
+                f"{tuple(x)}; residual {t.value:.3e} >= {_DIFFERENTIABILITY_TOL}"
             )
-    _, rset = maximal(f, x, lam, r_max, search, quadrature)
+    _, rset = maximal(f, x, lam)
     contributions = []
     for r in rset.radii:
         if r == 0.0:
@@ -260,7 +248,7 @@ def maximal_directional_derivative(
             contributions.append(0.0)
         else:
             contributions.append(
-                sphere_average_derivative(absf, x, r, theta, quadrature)
+                sphere_average_derivative(absf, x, r, theta)
             )
     return max(contributions)
 
@@ -294,25 +282,18 @@ def check_translation_bound(
     r: float,
     D,
     u_sup: float,
-    c_hat: Optional[float] = None,
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> TranslationBoundReport:
     """Shifted-ball average bound for f with expansion remainder u.
 
     lhs = |avg_{B(x+h,r)} f - avg_{B(x,r)} f - D.h| must stay below
-    |h| * c_hat * u_sup for the module's calibrated constant.  u_sup is
+    |h| * c_hat * u_sup, c_hat = EMPIRICAL_CONSTANTS[f.dimension].  u_sup is
     the caller's bound on |u| over |a| <= r + |h|.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = np.atleast_1d(np.asarray(h, dtype=float))
     D = np.atleast_1d(np.asarray(D, dtype=float))
-    if c_hat is None:
-        c_hat = EMPIRICAL_CONSTANTS[f.dimension]
-    lhs = abs(
-        ball_average(f, x + h, r, quadrature)
-        - ball_average(f, x, r, quadrature)
-        - float(D @ h)
-    )
+    c_hat = EMPIRICAL_CONSTANTS[f.dimension]
+    lhs = abs(ball_average(f, x + h, r) - ball_average(f, x, r) - float(D @ h))
     nh = float(np.linalg.norm(h))
     rhs = nh * c_hat * u_sup
     if u_sup == 0.0:
@@ -348,26 +329,20 @@ def lipschitz_audit(
     box,
     samples: int = 100,
     seed: int = 0,
-    c_hat: Optional[float] = None,
-    search: SearchParams = SearchParams(),
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> LipschitzAuditReport:
     """Measure the Lipschitz constant of the restricted operator on a box.
 
     Asserts measured <= c_hat * sup(M_lam f) / lam, the shape of the
-    known Lipschitz bound, with the calibrated empirical constant.
+    known Lipschitz bound, with c_hat = EMPIRICAL_CONSTANTS[n].
     """
     if lam <= 0:
         raise ValueError("the Lipschitz audit requires lambda > 0")
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     n = f.dimension
-    if c_hat is None:
-        c_hat = EMPIRICAL_CONSTANTS[n]
+    c_hat = EMPIRICAL_CONSTANTS[n]
     rng = np.random.default_rng(seed)
     pts = lo + rng.random((2 * samples, n)) * (hi - lo)
-    vals = np.array(
-        [maximal(f, p, lam, search=search, quadrature=quadrature)[0] for p in pts]
-    )
+    vals = np.array([maximal(f, p, lam)[0] for p in pts])
     a, b = pts[:samples], pts[samples:]
     gaps = np.linalg.norm(a - b, axis=1)
     ok = gaps > 1e-12
@@ -390,18 +365,18 @@ def maximal_field(
     resolution,
     lam: float = 0.0,
     r_max: Optional[float] = None,
-    search: SearchParams = SearchParams(),
-    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
     threads: int = 1,
 ):
     """(points, values, radii sets) of the operator over a grid, row-major."""
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     if np.isscalar(resolution):
         resolution = (int(resolution),) * f.dimension
+    if min(resolution) < 1:
+        raise ValueError("need at least 1 grid point per axis")
     pts = _grid_points(lo, hi, resolution)
 
     def work(p):
-        return maximal(f, p, lam, r_max, search, quadrature)
+        return maximal(f, p, lam, r_max)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor

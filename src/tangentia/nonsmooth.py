@@ -48,11 +48,7 @@ __all__ = [
 ]
 
 
-def default_ladder(r0: float = 0.5, rungs: int = 12) -> np.ndarray:
-    return r0 * 0.5 ** np.arange(rungs)
-
-
-DEFAULT_LADDER = default_ladder()
+DEFAULT_LADDER = 0.5 * 0.5 ** np.arange(12)
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +118,11 @@ def _unit_direction(theta) -> np.ndarray:
     if not 0.0 < norm < math.inf:
         raise ValueError(f"direction {theta.tolist()} must be nonzero and finite")
     return theta / norm
+
+
+def _positive_tol(tol: float):
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
 def quotient_ladder(f: DirectionalFunction, x, theta, ladder=None) -> np.ndarray:
@@ -259,41 +260,41 @@ class GammaEstimate:
     tolerance: float
 
 
-def kink_normals(
-    f: DirectionalFunction,
-    x,
-    probe_radius: float = 1e-3,
-    n_probes: int = 16,
-    fd_h: float = 1e-6,
-    cluster_tol: float = 1e-3,
-    seed: int = 0,
-) -> list:
+_N_PROBES = 16  # gradient probes around x
+_PROBE_RADIUS = 1e-3  # their distance from x
+_FD_H = 1e-6  # central-difference step of a probe gradient
+_CLUSTER_TOL = 1e-3  # gradients closer than this are one smooth piece
+
+
+def kink_normals(f: DirectionalFunction, x, seed: int = 0) -> list:
     """Candidate kink normals from clustering nearby gradient estimates.
 
-    Gradients are sampled just off x; distinct clusters indicate smooth
-    pieces and their normalized differences point across the kink.
+    Gradients are sampled _N_PROBES times at distance _PROBE_RADIUS from
+    x, by central differences of step _FD_H; clusters further than
+    _CLUSTER_TOL apart indicate smooth pieces and their normalized
+    differences point across the kink.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     n = f.dimension
-    probes = sample_unit_vectors(full_space(n), n_probes, seed)
+    probes = sample_unit_vectors(full_space(n), _N_PROBES, seed)
     eye = np.eye(n)
     grads = []
     for u in probes:
-        p = x + probe_radius * u
+        p = x + _PROBE_RADIUS * u
         g = np.empty(n)
         for i in range(n):
-            g[i] = (f(p + fd_h * eye[i]) - f(p - fd_h * eye[i])) / (2.0 * fd_h)
+            g[i] = (f(p + _FD_H * eye[i]) - f(p - _FD_H * eye[i])) / (2.0 * _FD_H)
         grads.append(g)
     reps: list = []
     for g in grads:
-        if all(np.linalg.norm(g - r) > cluster_tol for r in reps):
+        if all(np.linalg.norm(g - r) > _CLUSTER_TOL for r in reps):
             reps.append(g)
     normals = []
     for i in range(len(reps)):
         for j in range(i + 1, len(reps)):
             d = reps[i] - reps[j]
             nrm = np.linalg.norm(d)
-            if nrm > cluster_tol:
+            if nrm > _CLUSTER_TOL:
                 d = d / nrm
                 if all(
                     min(np.linalg.norm(d - m), np.linalg.norm(d + m)) > 1e-6
@@ -362,6 +363,7 @@ def gamma(
     V itself and for V + cone(b) over the sampled b battery.  Ties at a
     dimension break toward the smallest worst-b residual.
     """
+    _positive_tol(tol)
     if budget is None:
         budget = GammaBudget()
     x = _finite_point(x)
@@ -421,24 +423,25 @@ class ScanPoint:
     sf_flag: bool
 
 
+_SF_THRESHOLD = 1e8  # a difference quotient above this flags divergence
+
+
 def singular_scan(
     f: DirectionalFunction,
     box,
     resolution,
     tol: float = 1e-3,
-    ladder=None,
-    gamma_budget: Optional[GammaBudget] = None,
-    sf_threshold: float = 1e8,
     annotate_gamma: bool = True,
 ) -> list:
     """Flag grid points whose full-space residual exceeds tol.
 
-    The ladder defaults to a few radii tied to the cell size (down to
-    half a cell), so a flagged point lies within half a cell of a true
-    kink of a piecewise-smooth f.  Divergent quotient magnitudes flag
-    singular-set membership.  Flagged points are annotated with the
-    differentiability degree.
+    The ladder is 2, 1 and 1/2 times the cell size, so a flagged point
+    lies within half a cell of a true kink of a piecewise-smooth f.
+    Quotient magnitudes above _SF_THRESHOLD flag singular-set
+    membership.  Flagged points are annotated with the differentiability
+    degree, from a small fixed gamma budget on the two finest rungs.
     """
+    _positive_tol(tol)
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     n = f.dimension
     if np.isscalar(resolution):
@@ -448,10 +451,7 @@ def singular_scan(
         raise ValueError("need at least 2 grid points per axis")
     pts = _grid_points(lo, hi, resolution)
     cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
-    if ladder is None:
-        ladder = np.array([2.0, 1.0, 0.5]) * cell
-    else:
-        ladder = np.asarray(ladder, dtype=float)
+    ladder = np.array([2.0, 1.0, 0.5]) * cell
 
     n_dir = 2 if n == 1 else (16 if n == 2 else 48)
     dirs = sample_unit_vectors(full_space(n), n_dir, 0)
@@ -472,15 +472,11 @@ def singular_scan(
         max_q = np.maximum(max_q, np.max(np.abs(Q), axis=1))
         Q_small = Q
 
-    sf = max_q > sf_threshold
+    sf = max_q > _SF_THRESHOLD
     candidates = np.flatnonzero((ls_res >= tol) | sf)
-    if gamma_budget is None:
-        gamma_budget = GammaBudget(
-            candidates_per_dim=8,
-            b_per_candidate=8,
-            directions=n_dir,
-            ladder=ladder[-2:],
-        )
+    gamma_budget = GammaBudget(
+        candidates_per_dim=8, b_per_candidate=8, directions=n_dir, ladder=ladder[-2:]
+    )
     out = []
     for i in candidates:
         # least-squares residual only upper-bounds the minimax one

@@ -169,18 +169,16 @@ class MedialPoint:
     multiplicity: int
 
 
-def medial_scan(
-    A: ClosedSetModel,
-    box,
-    resolution,
-    tie_factor: float = 0.6,
-    angular_dedup: float = 1e-4,
-) -> List[MedialPoint]:
+_TIE_FACTOR = 0.6  # medial ties: distances within this many cells
+_ANGULAR_DEDUP = 1e-4  # radians; nearest points closer, seen from x, count once
+
+
+def medial_scan(A: ClosedSetModel, box, resolution) -> List[MedialPoint]:
     """Grid points annotated with their nearest-point multiplicity.
 
-    Ties are counted with an absolute tolerance of tie_factor * cell
+    Ties are counted with an absolute tolerance of _TIE_FACTOR * cell
     (grid arithmetic never produces exact ties) and nearest points
-    closer than angular_dedup radians apart, as seen from x, count once.
+    closer than _ANGULAR_DEDUP radians apart, as seen from x, count once.
     Multiplicity >= 2 constitutes the detected medial axis.
     """
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
@@ -190,7 +188,7 @@ def medial_scan(
         raise ValueError("need at least 2 grid points per axis")
     pts = _grid_points(lo, hi, resolution)
     cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
-    tie = tie_factor * cell
+    tie = _TIE_FACTOR * cell
 
     out = []
     for block in _blocks(pts):
@@ -204,7 +202,7 @@ def medial_scan(
             for y in _close_points(c, d, dmin, tie / dmin):
                 u = (x - y) / np.linalg.norm(x - y)
                 if all(
-                    math.acos(min(1.0, max(-1.0, float(u @ v)))) > angular_dedup
+                    math.acos(min(1.0, max(-1.0, float(u @ v)))) > _ANGULAR_DEDUP
                     for v in dirs
                 ):
                     dirs.append(u)
@@ -244,6 +242,8 @@ def inf_convolution(
     from scipy.optimize import minimize
 
     x = _finite_point(x)
+    if y_resolution < 2:
+        raise ValueError("need at least 2 grid points per axis")
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in y_box)
     n = u.dimension
     ys = _grid_points(lo, hi, (y_resolution,) * n)

@@ -135,6 +135,11 @@ def fit_tangent(
     return V
 
 
+# shells finer than this many median nearest-neighbour spacings are
+# sub-resolution, and a piece thinner than it is flat at sampling resolution
+_RESOLUTION_FLOOR = 4.0
+
+
 def _nn_spacing(points: np.ndarray) -> float:
     """Median nearest-neighbour distance (the sampling scale of the set)."""
     if points.shape[0] < 2:
@@ -151,16 +156,14 @@ def is_k_tangential(
     V,
     eta: float = 0.2,
     shells: int = 8,
-    radius: Optional[float] = None,
-    min_scale: Optional[float] = None,
-    resolution_floor: float = 4.0,
 ) -> TangencyReport:
     """Dyadic-shell ratio test of k-tangentiality at x along V.
 
-    Shells whose outer radius falls below ``min_scale`` (default:
-    ``resolution_floor`` times the median nearest-neighbour spacing)
-    are reported but excluded from the verdict: below the sampling
-    scale the ratio statistic measures discretization, not geometry.
+    The analysis radius is the largest displacement from x.  Shells
+    whose outer radius falls below _RESOLUTION_FLOOR times the median
+    nearest-neighbour spacing are reported but excluded from the
+    verdict: below the sampling scale the ratio statistic measures
+    discretization, not geometry.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
@@ -179,12 +182,9 @@ def is_k_tangential(
     keep = norms > 1e-14
     h, norms = h[keep], norms[keep]
     if h.shape[0] == 0:
-        return TangencyReport(
-            tuple(x), V, (), "inconclusive", eta, radius or 0.0
-        )
-    R = float(radius) if radius is not None else float(np.max(norms))
-    if min_scale is None:
-        min_scale = resolution_floor * _nn_spacing(points)
+        return TangencyReport(tuple(x), V, (), "inconclusive", eta, 0.0)
+    R = float(np.max(norms))
+    min_scale = _RESOLUTION_FLOOR * _nn_spacing(points)
 
     tang = h @ V
     tnorm = np.linalg.norm(tang, axis=1)
@@ -194,7 +194,7 @@ def is_k_tangential(
 
     # dyadic bins anchored at the floor so no usable scale range is
     # wasted; the top bin absorbs everything out to the analysis radius
-    lo_min = max(float(min_scale), R * 2.0 ** (-shells))
+    lo_min = max(min_scale, R * 2.0 ** (-shells))
     nb = 0
     if R > lo_min:
         nb = min(shells, int(math.floor(math.log2(R / lo_min))))
@@ -231,7 +231,7 @@ def is_k_tangential(
                         verdict = "not tangential"
                         break
     return TangencyReport(
-        tuple(x), V, tuple(stats), verdict, eta, R, float(min_scale)
+        tuple(x), V, tuple(stats), verdict, eta, R, min_scale
     )
 
 
@@ -295,23 +295,27 @@ def _local_direction(points, i, k, m=12, iters=4):
     return np.stack([_lex_sign(V[:, j]) for j in range(k)], axis=1)
 
 
+_ANGLE_TOL = math.pi / 10  # principal angle joining a point to a cluster
+_BASE_SAMPLES = 16  # base points tested per piece
+
+
 def sigma_decompose(
     points,
     k: int,
     pieces: int = 8,
     eta: float = 0.2,
-    angle_tol: float = math.pi / 10,
-    base_samples: int = 16,
     seed: int = 0,
 ) -> Tuple[bool, List[SigmaPiece], List[TangencyReport]]:
     """Greedy decomposition into at most `pieces` k-tangential subsets.
 
-    Clusters points by local tangent direction (principal-angle
-    distance), then tests tangentiality at sampled base points of each
-    piece; a piece passes when >= 90% of its conclusive bases pass, or
-    — when every base abstains for lack of usable shells — when the
-    piece is flat at sampling resolution.  Overall pass iff every
-    piece passes.
+    Clusters points by local tangent direction (principal angle below
+    _ANGLE_TOL), then tests tangentiality at up to _BASE_SAMPLES sampled
+    base points of each piece; a piece passes when >= 90% of its
+    conclusive bases pass, or — when every base abstains for lack of
+    usable shells — when the piece is flat at sampling resolution (its
+    thickness stays below _RESOLUTION_FLOOR nearest-neighbour spacings
+    and below eta times its extent).  Overall pass iff every piece
+    passes.
     This is an instrument, not a certificate: the clustering is greedy
     and the verdict inherits the shell-trend operationalization.
     """
@@ -333,7 +337,7 @@ def sigma_decompose(
             a = _principal_angle(dirs[i], rep)
             if a < bang:
                 best, bang = c, a
-        if best >= 0 and bang < angle_tol:
+        if best >= 0 and bang < _ANGLE_TOL:
             labels[i] = best
         else:
             reps.append(dirs[i])
@@ -379,7 +383,7 @@ def sigma_decompose(
         cs = sorted(refined)
         for i in range(len(cs)):
             for j in range(i + 1, len(cs)):
-                if _principal_angle(refined[cs[i]], refined[cs[j]]) < angle_tol:
+                if _principal_angle(refined[cs[i]], refined[cs[j]]) < _ANGLE_TOL:
                     labels[labels == cs[j]] = cs[i]
                     del refined[cs[j]]
                     B = _piece_basis(points[labels == cs[i]])
@@ -400,7 +404,7 @@ def sigma_decompose(
     for c in used:
         idx = np.flatnonzero(labels == c)
         sub = points[idx]
-        nb = min(base_samples, idx.size)
+        nb = min(_BASE_SAMPLES, idx.size)
         bases = rng.choice(idx.size, size=nb, replace=False)
         passed = 0
         conclusive = 0
@@ -436,7 +440,7 @@ def sigma_decompose(
             else:
                 perp = centred - (centred @ B) @ B.T
                 thick = float(np.max(np.linalg.norm(perp, axis=1)))
-                floor = 4.0 * _nn_spacing(sub)
+                floor = _RESOLUTION_FLOOR * _nn_spacing(sub)
                 if thick > floor or thick > eta * ext:
                     overall = False
     return overall, piece_list, reports

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from tangentia import cli
 from tangentia.cli import ExperimentConfig, run
 
 
@@ -134,6 +135,13 @@ def test_non_finite_point_exits_1(argv, capfd):
         ["tau", "--function", "maxaffine[(1,0,0),(-1,0,0)]", "--point", "0,0"]
         + ["--subspace", "V=[nan,1]"],
         ["singular-set", "--function", "abs", "--box=nan,1", "--res", "5"],
+        ["singular-set", "--function", "abs", "--box=-1,1", "--res", "5"]
+        + ["--tol", "nan"],
+        ["gamma", "--function", "abs", "--point", "0", "--tol", "nan"],
+        ["maximal-field", "--function", "tent", "--box=-1,1", "--res", "3"]
+        + ["--lambda", "nan"],
+        ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4", "--t", "0"],
+        ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4", "--t", "-1"],
     ],
 )
 def test_non_finite_generator_or_box_exits_1(argv, tmp_path, capfd):
@@ -142,6 +150,23 @@ def test_non_finite_generator_or_box_exits_1(argv, tmp_path, capfd):
     err = capfd.readouterr().err
     assert "finite" in err
     assert "SVD" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal-field", "--function", "tent", "--box=-1,1", "--res", "0"],
+        ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4", "--t", "1"]
+        + ["--y-res", "1"],
+        ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4", "--t", "1"]
+        + ["--y-res", "0"],
+    ],
+)
+def test_too_few_grid_points_exits_1(argv, tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "grid point" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -391,3 +416,34 @@ def test_thread_env_cap(monkeypatch, tmp_path):
         ]
     )
     assert rc == 0
+
+
+# ---------------------------------------------------------------------------
+# verify suites
+
+
+@pytest.mark.parametrize(
+    "suite", ["tangential-thm26", "translation-lemma34", "distance-eq21"]
+)
+def test_verify_suite_passes(suite, capsys):
+    assert run(["verify", "--suite", suite]) == 0
+    out = capsys.readouterr().out
+    assert f"suite {suite}:" in out
+    assert "[FAIL]" not in out
+    assert out.rstrip().endswith("VERIFY PASS")
+
+
+def test_verify_failing_suite_exits_1(monkeypatch, capsys):
+    monkeypatch.setitem(
+        cli.SUITES, "translation-lemma34", lambda seed: (False, ["[FAIL] forced"])
+    )
+    assert run(["verify", "--suite", "translation-lemma34"]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] forced" in out
+    assert out.rstrip().endswith("VERIFY FAIL")
+
+
+def test_verify_unknown_suite_exits_2(capsys):
+    with pytest.raises(SystemExit) as ei:
+        run(["verify", "--suite", "bogus"])
+    assert ei.value.code == 2

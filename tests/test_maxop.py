@@ -117,6 +117,12 @@ def test_lambda_negative_rejected():
         maximal(tent(), [0.0], lam=-1.0)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_lambda_non_finite_rejected(lam):
+    with pytest.raises(ValueError, match="lambda must be finite"):
+        maximal(tent(), [0.0], lam=lam)
+
+
 def test_discontinuous_rejected():
     f = DirectionalFunction(evaluator=lambda x: 0.0, dimension=1, continuous=False)
     with pytest.raises(ValueError):
@@ -225,3 +231,10 @@ def test_maximal_field_threaded_matches_serial():
     _, v1, _ = maximal_field(f, ([0.5], [2.5]), 7, threads=1)
     _, v2, _ = maximal_field(f, ([0.5], [2.5]), 7, threads=4)
     assert np.array_equal(v1, v2)
+
+
+@pytest.mark.parametrize("resolution", [0, (3, 0)])
+def test_maximal_field_empty_grid_rejected(resolution):
+    f = parse_function_spec("gauss(0.5,2)")
+    with pytest.raises(ValueError, match="1 grid point"):
+        maximal_field(f, ([-1.0, -1.0], [1.0, 1.0]), resolution)

@@ -300,6 +300,15 @@ def test_non_finite_point_rejected(x):
         gamma(f, x)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
+def test_tol_not_finite_positive_rejected(tol):
+    f = abs1d()
+    with pytest.raises(ValueError, match="tol must be finite"):
+        gamma(f, [0.0], tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        singular_scan(f, ([-1.0], [1.0]), 5, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # gamma
 

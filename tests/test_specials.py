@@ -286,6 +286,16 @@ def test_infconv_non_finite_point_rejected(x):
         inf_convolution(u, quad_coupling(1.0), x, ([-4.0], [4.0]))
 
 
+@pytest.mark.parametrize("y_resolution", [1, 0])
+def test_infconv_single_point_y_grid_rejected(y_resolution):
+    # one node per axis has no cell size; zero nodes have no minimum
+    u = parse_function_spec("abs")
+    with pytest.raises(ValueError, match="2 grid points"):
+        inf_convolution(
+            u, quad_coupling(1.0), [2.0], ([-4.0], [4.0]), y_resolution=y_resolution
+        )
+
+
 def test_infconv_2d():
     u = DirectionalFunction(
         evaluator=lambda y: float(np.abs(y).sum()), dimension=2
