@@ -52,11 +52,9 @@ from .maxop import (
 )
 from .specials import (
     ClosedSetModel,
-    MaxFamily,
     distance_directional_derivative,
     distance_function,
     inf_convolution,
-    max_family_derivative,
     medial_scan,
     nearest_set,
 )

@@ -295,6 +295,7 @@ def cmd_tangency(cfg: ExperimentConfig) -> int:
         }
         payload["reports"] = [r.to_json_dict() for r in reports]
     else:
+        tangency._check_k(k, points.shape[1])
         rng = np.random.default_rng(o["seed"])
         nb = min(o["bases"], points.shape[0])
         idx = rng.choice(points.shape[0], size=nb, replace=False)

@@ -538,47 +538,6 @@ def make_gauss(s: float, n: int = 1) -> DirectionalFunction:
     )
 
 
-def make_infconv(u: DirectionalFunction, t: float) -> DirectionalFunction:
-    """Moreau envelope inf_y u(y) + |x - y|^2 / (2t) of a builtin u."""
-    if t <= 0:
-        raise ValueError(f"infconv parameter must be > 0, got {t}")
-    n = u.dimension
-    K = u.lipschitz if u.lipschitz is not None else 10.0
-    reach = K * t + 1.0
-
-    def ev(x):
-        from scipy.optimize import minimize, minimize_scalar
-
-        if n == 1:
-            lo, hi = float(x[0] - reach), float(x[0] + reach)
-            ys = np.linspace(lo, hi, 257)
-            vals = u.evaluate_many(ys[:, None]) + (x[0] - ys) ** 2 / (2.0 * t)
-            i = int(np.argmin(vals))
-            a = ys[max(i - 1, 0)]
-            b = ys[min(i + 1, len(ys) - 1)]
-            res = minimize_scalar(
-                lambda y: u(np.array([y])) + (x[0] - y) ** 2 / (2.0 * t),
-                bounds=(a, b),
-                method="bounded",
-                options={"xatol": 1e-12},
-            )
-            return min(float(res.fun), float(vals[i]))
-        obj = lambda y: u(y) + float((x - y) @ (x - y)) / (2.0 * t)  # noqa: E731
-        res = minimize(obj, x, method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14})
-        return float(res.fun)
-
-    sup = None
-    if u.support is not None:
-        sup = (u.support[0] - reach, u.support[1] + reach)
-    return DirectionalFunction(
-        evaluator=ev,
-        dimension=n,
-        lipschitz=u.lipschitz,
-        support=sup,
-        label=f"infconv({u.label},{t})",
-    )
-
-
 # ---------------------------------------------------------------------------
 # mini-language parser
 
@@ -737,6 +696,8 @@ def _parse_expr(sc: _Scanner) -> DirectionalFunction:
         sc.expect(",")
         t = sc.number()
         sc.expect(")")
+        from .specials import make_infconv
+
         return make_infconv(inner, t)
     raise SpecParseError(
         f"unknown builtin {name!r}; available: {', '.join(BUILTINS)}", at

@@ -36,8 +36,6 @@ __all__ = [
     "maximal_directional_derivative",
     "TranslationBoundReport",
     "check_translation_bound",
-    "LipschitzAuditReport",
-    "lipschitz_audit",
     "maximal_field",
     "field_to_csv",
 ]
@@ -127,6 +125,8 @@ def maximal(
     absf = absolute(f)
     if r_max is None:
         r_max = _default_r_max(f, x)
+    if not math.isfinite(r_max):
+        raise ValueError(f"r_max must be finite, got {r_max}")
     if r_max <= max(lam, _R_MIN_FLOOR):
         raise ValueError("r_max must exceed the lower end of the search range")
 
@@ -303,56 +303,6 @@ def check_translation_bound(
         ratio = lhs / (nh * u_sup) if nh > 0 else 0.0
         passed = lhs <= rhs + 1e-12
     return TranslationBoundReport("translation-bound", lhs, rhs, ratio, passed)
-
-
-@dataclass(frozen=True)
-class LipschitzAuditReport:
-    check: str
-    measured: float
-    bound: float
-    ratio: float
-    passed: bool
-
-    def to_json_dict(self):
-        return {
-            "check": self.check,
-            "lhs": self.measured,
-            "rhs": self.bound,
-            "ratio": self.ratio,
-            "pass": self.passed,
-        }
-
-
-def lipschitz_audit(
-    f: DirectionalFunction,
-    lam: float,
-    box,
-    samples: int = 100,
-    seed: int = 0,
-) -> LipschitzAuditReport:
-    """Measure the Lipschitz constant of the restricted operator on a box.
-
-    Asserts measured <= c_hat * sup(M_lam f) / lam, the shape of the
-    known Lipschitz bound, with c_hat = EMPIRICAL_CONSTANTS[n].
-    """
-    if lam <= 0:
-        raise ValueError("the Lipschitz audit requires lambda > 0")
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
-    n = f.dimension
-    c_hat = EMPIRICAL_CONSTANTS[n]
-    rng = np.random.default_rng(seed)
-    pts = lo + rng.random((2 * samples, n)) * (hi - lo)
-    vals = np.array([maximal(f, p, lam)[0] for p in pts])
-    a, b = pts[:samples], pts[samples:]
-    gaps = np.linalg.norm(a - b, axis=1)
-    ok = gaps > 1e-12
-    quotients = np.abs(vals[:samples] - vals[samples:])[ok] / gaps[ok]
-    measured = float(np.max(quotients)) if quotients.size else 0.0
-    bound = c_hat * float(np.max(vals)) / lam
-    return LipschitzAuditReport(
-        "lipschitz-audit", measured, bound, measured / bound if bound else 0.0,
-        measured <= bound + 1e-12,
-    )
 
 
 # ---------------------------------------------------------------------------

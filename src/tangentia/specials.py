@@ -1,17 +1,16 @@
 """Worked special-function classes: distance functions to closed sets
-(with nearest-point sets and the medial axis), infimal convolution, and
-pointwise maxima of smooth families.
+(with nearest-point sets and the medial axis) and infimal convolution.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .funcspace import DirectionalFunction, _finite_point, _grid_points
+from .funcspace import DirectionalFunction, _check_finite, _finite_point, _grid_points
 
 __all__ = [
     "ClosedSetModel",
@@ -22,8 +21,6 @@ __all__ = [
     "medial_scan",
     "medial_to_csv",
     "inf_convolution",
-    "MaxFamily",
-    "max_family_derivative",
 ]
 
 
@@ -223,6 +220,71 @@ def medial_to_csv(points: Sequence[MedialPoint], path, dimension: int):
 # ---------------------------------------------------------------------------
 # infimal convolution
 
+_SPEC_NODES = 257  # y-grid nodes of the infconv spec, in total in nD
+
+
+def _envelope_min(obj, ys, vals, resolution, lo, hi, tol: float = 1e-9):
+    """min of obj over the y-box [lo, hi], given its values vals on the
+    row-major box grid ys (m, n) with `resolution` nodes per axis.
+
+    Each grid-local minimum (a node no higher than its axis neighbours)
+    within a band of the best node value seeds one local descent: Brent's
+    bounded method on the neighbour bracket in 1D, Nelder-Mead clipped to
+    the box in nD; a seed lower than its descent's end is kept instead.
+    The band is the largest value step between axis neighbours, at least
+    10 tol: the node nearest the true minimizer, and the grid-local
+    minimum it descends to, lie at most about one step above the minimum.
+
+    Returns (value, minimizers, boundary_flag): the distinct descent ends
+    within tol of the value, and whether one lies within 2 cells of the
+    box boundary.
+    """
+    from scipy.optimize import fminbound, minimize
+
+    if (hi <= lo).any():
+        raise ValueError(f"y-box upper corner {hi} must exceed the lower {lo}")
+    n = ys.shape[1]
+    V = vals.reshape(resolution)
+    local = np.ones(V.shape, dtype=bool)
+    band = 10.0 * tol
+    for ax in range(n):
+        lower = (slice(None),) * ax + (slice(None, -1),)
+        upper = (slice(None),) * ax + (slice(1, None),)
+        step = V[upper] - V[lower]
+        local[lower] &= step >= 0.0
+        local[upper] &= step <= 0.0
+        band = max(band, abs(step).max())
+    seeds = np.flatnonzero(local.ravel() & (vals <= vals.min() + band))
+
+    refined = []
+    for i in seeds.tolist():
+        if n == 1:
+            res = fminbound(
+                lambda s: obj(np.array([s])), ys[max(i - 1, 0), 0],
+                ys[min(i + 1, len(ys) - 1), 0], xtol=1e-12, full_output=True, disp=0,
+            )
+            y, v = np.array([res[0]]), float(res[1])
+        else:
+            res = minimize(
+                obj, ys[i], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14}
+            )
+            y = np.clip(res.x, lo, hi)
+            v = float(obj(y))
+        # the seed is no higher than its bracket ends, which Brent never
+        # evaluates and where a box-edge minimum sits
+        refined.append((v, y) if v < vals[i] else (float(vals[i]), ys[i]))
+
+    best = min(v for v, _ in refined)
+    minimizers: List[np.ndarray] = []
+    for v, y in refined:
+        if v <= best + tol and all(
+            np.linalg.norm(y - m) > 1e-6 * (1.0 + np.linalg.norm(y)) for m in minimizers
+        ):
+            minimizers.append(y)
+    edge = 2.0 * ((hi - lo) / (np.array(resolution) - 1)).max()
+    boundary = any(min(*(m - lo), *(hi - m)) < edge for m in minimizers)
+    return best, minimizers, boundary
+
 
 def inf_convolution(
     u: DirectionalFunction,
@@ -239,44 +301,16 @@ def inf_convolution(
     on the box boundary means the box was too small, which is an error
     in strict mode.
     """
-    from scipy.optimize import minimize
-
     x = _finite_point(x)
     if y_resolution < 2:
         raise ValueError("need at least 2 grid points per axis")
     lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in y_box)
-    n = u.dimension
-    ys = _grid_points(lo, hi, (y_resolution,) * n)
+    resolution = (y_resolution,) * u.dimension
+    ys = _grid_points(lo, hi, resolution)
     vals = u.evaluate_many(ys) + np.array([coupling(x, y) for y in ys])
-
+    _check_finite(vals, ys)
     obj = lambda y: u(y) + float(coupling(x, y))  # noqa: E731
-    vmin = float(np.min(vals))
-    cell = float(np.max((hi - lo) / (y_resolution - 1)))
-    seeds = ys[vals <= vmin + max(10.0 * tol, cell)]
-    minimizers: List[np.ndarray] = []
-    best = vmin
-    refined = []
-    for s in seeds:
-        res = minimize(
-            obj,
-            s,
-            method="Nelder-Mead",
-            options={"xatol": 1e-10, "fatol": 1e-14},
-        )
-        y = np.clip(res.x, lo, hi)
-        refined.append((float(obj(y)), y))
-    for v, _ in refined:
-        best = min(best, v)
-    for v, y in refined:
-        if v <= best + tol and all(
-            np.linalg.norm(y - m) > 1e-6 * (1.0 + np.linalg.norm(y))
-            for m in minimizers
-        ):
-            minimizers.append(y)
-    boundary = any(
-        np.any(np.abs(m - lo) < 2.0 * cell) or np.any(np.abs(m - hi) < 2.0 * cell)
-        for m in minimizers
-    )
+    best, minimizers, boundary = _envelope_min(obj, ys, vals, resolution, lo, hi, tol)
     if strict and boundary:
         raise ValueError(
             "infimal convolution minimum attained at the y-box boundary; "
@@ -285,68 +319,34 @@ def inf_convolution(
     return best, minimizers, boundary
 
 
-# ---------------------------------------------------------------------------
-# pointwise maxima of smooth families
+def make_infconv(u: DirectionalFunction, t: float) -> DirectionalFunction:
+    """Moreau envelope inf_y u(y) + |x - y|^2 / (2t) of a builtin u.
 
-
-@dataclass(frozen=True)
-class MaxFamily:
-    """Finitely many C1 members with gradient oracles.
-
-    Member gradients are spot-checked against central differences at
-    construction (10 seeded probes, 1e-5 agreement).
+    Minimised on the box x +- (K t + 1), K the Lipschitz bound of u (10
+    when unknown), from a grid of about _SPEC_NODES nodes in all.
     """
+    if t <= 0:
+        raise ValueError(f"infconv parameter must be > 0, got {t}")
+    n = u.dimension
+    reach = (10.0 if u.lipschitz is None else u.lipschitz) * t + 1.0
+    resolution = (max(2, round(_SPEC_NODES ** (1.0 / n))),) * n
+    # the grid moves with x, so its coupling values are fixed
+    offsets = _grid_points(np.full(n, -reach), np.full(n, reach), resolution)
+    coupling = np.einsum("ij,ij->i", offsets, offsets) / (2.0 * t)
 
-    members: Tuple[Callable[[np.ndarray], float], ...]
-    gradients: Tuple[Callable[[np.ndarray], np.ndarray], ...]
-    dimension: int
-    active_tol: float = 1e-9
+    def ev(x):
+        def obj(y):
+            d = x - y
+            return u.evaluator(y) + float(d.dot(d)) / (2.0 * t)
 
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("family must be nonempty")
-        if len(self.members) != len(self.gradients):
-            raise ValueError("need one gradient per member")
-        rng = np.random.default_rng(0)
-        probes = rng.uniform(-1.0, 1.0, size=(10, self.dimension))
-        h = 1e-6
-        eye = np.eye(self.dimension)
-        for fk, gk in zip(self.members, self.gradients):
-            for p in probes:
-                g = np.asarray(gk(p), dtype=float)
-                fd = np.array(
-                    [
-                        (fk(p + h * eye[i]) - fk(p - h * eye[i])) / (2.0 * h)
-                        for i in range(self.dimension)
-                    ]
-                )
-                if np.max(np.abs(g - fd)) > 1e-5 * (1.0 + np.max(np.abs(g))):
-                    raise ValueError(
-                        "member gradient disagrees with finite differences "
-                        f"at probe {tuple(p)}"
-                    )
+        ys = x + offsets
+        vals = u.evaluate_many(ys) + coupling
+        return _envelope_min(obj, ys, vals, resolution, x - reach, x + reach)[0]
 
-    def value(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return max(float(fk(x)) for fk in self.members)
-
-    def as_function(self, with_oracle: bool = True) -> DirectionalFunction:
-        deriv = None
-        if with_oracle:
-            deriv = lambda x, th: max_family_derivative(self, x, th)  # noqa: E731
-        return DirectionalFunction(
-            evaluator=lambda x: self.value(x),
-            dimension=self.dimension,
-            derivative=deriv,
-            label="maxfamily",
-        )
-
-
-def max_family_derivative(F: MaxFamily, x, theta) -> float:
-    """max over the active members of grad f_k(x) . theta."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    vals = np.array([fk(x) for fk in F.members])
-    top = float(np.max(vals))
-    active = np.flatnonzero(vals >= top - F.active_tol * (1.0 + abs(top)))
-    return max(float(np.asarray(F.gradients[k](x)) @ theta) for k in active)
+    return DirectionalFunction(
+        evaluator=ev,
+        dimension=n,
+        lipschitz=u.lipschitz,
+        support=None if u.support is None else (u.support[0] - reach, u.support[1] + reach),
+        label=f"infconv({u.label},{t})",
+    )

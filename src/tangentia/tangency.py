@@ -96,6 +96,12 @@ def _lex_sign(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _check_k(k: int, n: int):
+    """Refuse a tangent dimension k outside 1..n for a cloud in R^n."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n} for points in R^{n}, got {k}")
+
+
 def fit_tangent(
     points, x, k: int, radius: Optional[float] = None
 ) -> np.ndarray:
@@ -103,10 +109,11 @@ def fit_tangent(
 
     The weighting makes the fit scale-free (each shell contributes
     comparably).  Deterministic: eigenvectors sorted by eigenvalue and
-    sign-fixed lexicographically.  Rank deficiency below k raises with
-    the achievable rank in the message.
+    sign-fixed lexicographically.  A k outside 1..n raises, and so does
+    rank deficiency below k, with the achievable rank in the message.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_k(k, points.shape[1])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = points - x[None, :]
     norms = np.linalg.norm(h, axis=1)
@@ -320,6 +327,7 @@ def sigma_decompose(
     and the verdict inherits the shell-trend operationalization.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    _check_k(k, points.shape[1])
     npts = points.shape[0]
     rng = np.random.default_rng(seed)
 

@@ -142,6 +142,10 @@ def test_non_finite_point_exits_1(argv, capfd):
         + ["--lambda", "nan"],
         ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4", "--t", "0"],
         ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4", "--t", "-1"],
+        ["maximal-field", "--function", "tent", "--box=-1,1", "--res", "3"]
+        + ["--r-max", "inf"],
+        ["maximal-field", "--function", "tent", "--box=-1,1", "--res", "3"]
+        + ["--r-max", "nan"],
     ],
 )
 def test_non_finite_generator_or_box_exits_1(argv, tmp_path, capfd):
@@ -150,6 +154,7 @@ def test_non_finite_generator_or_box_exits_1(argv, tmp_path, capfd):
     err = capfd.readouterr().err
     assert "finite" in err
     assert "SVD" not in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -395,6 +400,21 @@ def test_tangency_sigma_flag(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["result"]["sigma"]["pass"] is True
     assert len(doc["result"]["sigma"]["pieces"]) == 2
+
+
+@pytest.mark.parametrize("sigma", [[], ["--sigma"]])
+@pytest.mark.parametrize("k", ["0", "3"])
+def test_tangency_k_outside_dimension_exits_1(k, sigma, tmp_path, capsys):
+    # each base's fit refused k and was skipped: exit 0, "reports": []
+    pts = tmp_path / "cloud.csv"
+    with open(pts, "w") as fh:
+        for v in np.linspace(-1, 1, 40):
+            fh.write(f"{v},0.0\n")
+    out = tmp_path / "r.json"
+    argv = ["tangency", "--points", str(pts), "--k", k, "--out", str(out)]
+    assert run(argv + sigma) == 1
+    assert "k must lie in 1..2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_thread_env_cap(monkeypatch, tmp_path):

@@ -175,6 +175,43 @@ def test_directional_derivative_oracle_non_finite_point_rejected():
         directional_derivative_detail(tent, [math.nan], [1.0])
 
 
+def test_directional_derivative_of_pointwise_max():
+    # max of C1 members: the derivative is the largest theta . grad f_k
+    # over the active members, written out here against the generic ladder
+    members = (
+        lambda x: math.sin(x[0]) + x[1],
+        lambda x: x[0] * x[1],
+        lambda x: -0.5 * x[0] + 0.25,
+    )
+    gradients = (
+        lambda x: np.array([math.cos(x[0]), 1.0]),
+        lambda x: np.array([x[1], x[0]]),
+        lambda x: np.array([-0.5, 0.0]),
+    )
+    f = DirectionalFunction(
+        evaluator=lambda x: max(float(fk(x)) for fk in members), dimension=2
+    )
+    rng = np.random.default_rng(8)
+    checked = 0
+    for _ in range(200):
+        x = rng.uniform(-1, 1, size=2)
+        th = rng.standard_normal(2)
+        th /= np.linalg.norm(th)
+        vals = np.array([fk(x) for fk in members])
+        top = float(np.max(vals))
+        active = np.flatnonzero(vals >= top - 1e-9 * (1.0 + abs(top)))
+        want = max(float(gradients[k](x) @ th) for k in active)
+        try:
+            got = directional_derivative(f, x, th)
+        except LadderDivergenceError:
+            # probes essentially on an active-set crossing make the
+            # extrapolated ladder refuse; that refusal is correct behaviour
+            continue
+        assert abs(got - want) < 1e-4
+        checked += 1
+    assert checked >= 190
+
+
 def test_ladder_divergence_detected():
     f = DirectionalFunction(
         evaluator=lambda x: math.sqrt(abs(float(x[0]))), dimension=1

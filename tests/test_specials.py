@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from tangentia import nonsmooth, specials
+from tangentia.errors import NumericDomainError
 from tangentia.funcspace import DirectionalFunction, parse_function_spec
 from tangentia.semilinear import full_space
 from tangentia.specials import (
     ClosedSetModel,
-    MaxFamily,
     distance_directional_derivative,
     distance_function,
     inf_convolution,
-    max_family_derivative,
     medial_scan,
     nearest_set,
 )
@@ -306,92 +305,116 @@ def test_infconv_2d():
     assert v == pytest.approx(1.5, abs=1e-5)
 
 
-# ---------------------------------------------------------------------------
-# max families
+def huber(x, t=1.0):
+    """(value, minimizer) of min_y |y| + (x - y)^2 / (2t)."""
+    if abs(x) <= t:
+        return x * x / (2.0 * t), 0.0
+    return abs(x) - t / 2.0, x - math.copysign(t, x)
 
 
-def family_1d_abs():
-    return MaxFamily(
-        members=(lambda x: float(x[0]), lambda x: -float(x[0])),
-        gradients=(lambda x: np.array([1.0]), lambda x: np.array([-1.0])),
+@pytest.mark.parametrize("x", [-2.5, -0.4, 0.0, 0.7, 2.2])
+def test_infconv_huber_closed_form_both_entry_points(x):
+    value, y_star = huber(x)
+    spec = parse_function_spec("infconv(abs,1)")
+    assert abs(spec([x]) - value) <= 1e-9
+    v, mins, boundary = inf_convolution(
+        parse_function_spec("abs"), quad_coupling(1.0), [x], ([-4.0], [4.0])
+    )
+    assert abs(v - value) <= 1e-9
+    assert len(mins) == 1
+    assert abs(float(mins[0][0]) - y_star) <= 1e-6
+    assert not boundary
+
+
+@pytest.mark.parametrize(
+    "inner, x, t",
+    [
+        ("abs", [-2.5], 0.5),
+        ("abs", [0.7], 1.0),
+        ("abs", [1.001], 3.0),
+        ("tent", [0.9], 2.0),
+        ("gauss(0.5,2)", [0.4, -0.3], 1.0),
+        ("maxaffine[(1,0,0),(-1,0,0),(0,1,0.5)]", [0.6, 0.2], 1.0),
+    ],
+)
+def test_infconv_spec_matches_inf_convolution(inner, x, t):
+    # the spec searches x +- (K t + 1) on 257 nodes in 1D, 16 per axis in 2D
+    u = parse_function_spec(inner)
+    x = np.array(x)
+    reach = u.lipschitz * t + 1.0
+    res = 257 if u.dimension == 1 else 16
+    want, _, _ = inf_convolution(
+        u, quad_coupling(t), x, (x - reach, x + reach), y_resolution=res
+    )
+    got = parse_function_spec(f"infconv({inner},{t})")(x)
+    assert abs(got - want) <= 1e-12
+
+
+def test_infconv_two_nearest_points_1d():
+    u = parse_function_spec("dist[-1,1]")
+    v, mins, _ = inf_convolution(u, quad_coupling(1.0), [0.0], ([-3.3], [2.9]))
+    assert v == pytest.approx(0.5, abs=1e-9)
+    assert sorted(float(m[0]) for m in mins) == pytest.approx([-1.0, 1.0], abs=1e-6)
+
+
+def test_infconv_two_nearest_points_2d():
+    # on this 65^2 grid neither minimizer (+-1, 0) is a node
+    u = parse_function_spec("dist[(-1,0),(1,0)]")
+    v, mins, boundary = inf_convolution(
+        u, quad_coupling(1.0), [0.0, 0.0], ([-3.0, -3.0], [3.0, 3.0]), y_resolution=65
+    )
+    assert v == pytest.approx(0.5, abs=1e-9)
+    got = sorted((float(m[0]), float(m[1])) for m in mins)
+    assert np.allclose(got, [(-1.0, 0.0), (1.0, 0.0)], atol=1e-6)
+    assert not boundary
+
+
+def test_infconv_flat_single_descent():
+    # (x - y)^2 / 200 stays within one cell's length (1/64) of its minimum
+    # for |x - y| < 1.77: a band in length units seeded ~220 descents; one
+    # grid-local minimum means one descent
+    calls = []
+    u = DirectionalFunction(evaluator=lambda y: calls.append(1) or 0.0, dimension=1)
+    v, mins, boundary = inf_convolution(u, quad_coupling(100.0), [0.3], ([-2.0], [2.0]))
+    assert v == pytest.approx(0.0, abs=1e-12)
+    assert len(mins) == 1
+    assert abs(float(mins[0][0]) - 0.3) <= 1e-6
+    assert not boundary
+    assert len(calls) < 257 + 100  # the grid and one short descent
+
+
+def test_infconv_well_between_nodes():
+    # the deeper well (-0.1 at q, midway between two nodes) reads 0.144
+    # on the grid, above the shallow well's node at 0: a band of one cell
+    # (1/32) in value units never seeds it
+    q = 1.0 + 1.0 / 64.0
+    u = DirectionalFunction(
+        evaluator=lambda y: min(1e3 * y[0] ** 2, 1e3 * (y[0] - q) ** 2 - 0.1),
         dimension=1,
     )
+    v, mins, _ = inf_convolution(u, quad_coupling(1e3), [0.5], ([-4.0], [4.0]))
+    assert v == pytest.approx(-0.1 + (0.5 - q) ** 2 / 2e3, abs=1e-9)
+    assert len(mins) == 1
+    assert abs(float(mins[0][0]) - q) <= 1e-6
 
 
-def test_max_family_abs_corner():
-    F = family_1d_abs()
-    assert max_family_derivative(F, [0.0], [1.0]) == pytest.approx(1.0)
-    assert max_family_derivative(F, [0.0], [-1.0]) == pytest.approx(1.0)
-
-
-def test_max_family_three_member_example():
-    F = MaxFamily(
-        members=(
-            lambda x: float(x[0] + x[1]),
-            lambda x: float(x[0] - x[1]),
-            lambda x: -float(x[0]),
-        ),
-        gradients=(
-            lambda x: np.array([1.0, 1.0]),
-            lambda x: np.array([1.0, -1.0]),
-            lambda x: np.array([-1.0, 0.0]),
-        ),
-        dimension=2,
+def test_infconv_non_finite_objective_rejected():
+    # a nan objective returned (nan, [], False)
+    u = DirectionalFunction(
+        evaluator=lambda y: math.nan if y[0] > 1.0 else 0.0, dimension=1
     )
-    assert max_family_derivative(F, [0.0, 0.0], [0.0, 1.0]) == pytest.approx(1.0)
+    with pytest.raises(NumericDomainError):
+        inf_convolution(u, quad_coupling(1.0), [0.0], ([-4.0], [4.0]))
 
 
-def test_max_family_single_member_gradient():
-    F = MaxFamily(
-        members=(lambda x: float(x[0] ** 2 + x[1]),),
-        gradients=(lambda x: np.array([2.0 * x[0], 1.0]),),
-        dimension=2,
-    )
-    x = [0.3, -0.2]
-    th = np.array([0.6, 0.8])
-    assert max_family_derivative(F, x, th) == pytest.approx(
-        2.0 * 0.3 * 0.6 + 0.8, abs=1e-12
-    )
-
-
-def test_max_family_bad_gradient_rejected():
-    with pytest.raises(ValueError):
-        MaxFamily(
-            members=(lambda x: float(x[0]),),
-            gradients=(lambda x: np.array([2.0]),),  # wrong slope
-            dimension=1,
-        )
-
-
-def test_max_family_envelope_consistency():
-    # the active-set formula must match the generic directional derivative
-    F = MaxFamily(
-        members=(
-            lambda x: float(np.sin(x[0]) + x[1]),
-            lambda x: float(x[0] * x[1]),
-            lambda x: float(-0.5 * x[0] + 0.25),
-        ),
-        gradients=(
-            lambda x: np.array([math.cos(x[0]), 1.0]),
-            lambda x: np.array([x[1], x[0]]),
-            lambda x: np.array([-0.5, 0.0]),
-        ),
-        dimension=2,
-    )
-    f = F.as_function(with_oracle=False)
-    rng = np.random.default_rng(8)
-    checked = 0
-    for _ in range(200):
-        x = rng.uniform(-1, 1, size=2)
-        th = rng.standard_normal(2)
-        th /= np.linalg.norm(th)
-        want = max_family_derivative(F, x, th)
-        try:
-            got = nonsmooth.directional_derivative(f, x, th)
-        except nonsmooth.LadderDivergenceError:
-            # probes essentially on an active-set crossing make the
-            # extrapolated ladder refuse; that refusal is correct behaviour
-            continue
-        assert abs(got - want) < 1e-4
-        checked += 1
-    assert checked >= 190
+@pytest.mark.parametrize(
+    "box",
+    [([4.0], [-4.0]), ([2.0], [2.0]), ([-1.0, 1.0], [1.0, 1.0])],
+)
+def test_infconv_empty_y_box_rejected(box):
+    # a reversed box returned (1.5, [], False); a zero-width one never
+    # flagged the boundary
+    u = parse_function_spec("abs" if len(box[0]) == 1 else "gauss(0.5,2)")
+    x = [2.0] * len(box[0])
+    with pytest.raises(ValueError, match="must exceed"):
+        inf_convolution(u, quad_coupling(1.0), x, box, y_resolution=9)

@@ -66,6 +66,14 @@ def test_fit_rank_deficiency_raises():
         fit_tangent(pts, np.zeros(2), 2)
 
 
+@pytest.mark.parametrize("k", [0, 3])
+def test_k_outside_dimension_rejected(k):
+    with pytest.raises(ValueError, match="k must lie in 1..2"):
+        fit_tangent(axis_points(), np.zeros(2), k)
+    with pytest.raises(ValueError, match="k must lie in 1..2"):
+        sigma_decompose(axis_points(), k)
+
+
 def test_fit_deterministic():
     pts = parabola_points()
     V1 = fit_tangent(pts, np.zeros(2), 1)
