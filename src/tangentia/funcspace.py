@@ -259,13 +259,23 @@ class GridFunction:
 class QuadratureConfig:
     """Ball and sphere rules per dimension.
 
-    Ball rules are polar/spherical products (smooth integrands, no
-    indicator weighting): Gauss-Legendre radially with the r^(n-1)
-    Jacobian folded into the weights, equal-angle azimuthally, and
-    Gauss-Legendre in the polar cosine for n = 3.  Sphere rules use
+    Ball rules in 2D and 3D are polar/spherical products (smooth
+    integrands, no indicator weighting): ``radial_order`` Gauss-Legendre
+    nodes radially with the r^(n-1) Jacobian folded into the weights,
+    times a fixed direction set, ``angular_order`` equal angles in 2D
+    and the 3D sphere rule with 2 ``radial_order``^2 nodes (Gauss-Legendre
+    in the polar cosine, equal-angle azimuth) in 3D.  In 1D the ball rule
+    is a composite midpoint rule with 128 ``radial_order`` nodes, and
+    ``ball_average`` itself integrates adaptively.  Sphere rules use
     ``sphere_nodes`` total nodes.  Weights are normalized so the ball
     rule integrates 1 to the exact ball volume and the sphere rule to
     the exact surface area.
+
+    ``ball_average_radii`` in 2D and 3D applies the ball rule at its
+    first positive radius only.  Beyond it, it integrates over the same
+    directions on annuli, with _GAP_NODES = 4 Gauss-Legendre radii per
+    piece, pieces at most _MAX_PIECE = 5 % of their outer radius wide,
+    and at most _CHUNK_POINTS = 2^18 points per batched evaluation.
     """
 
     radial_order: int = 32
@@ -289,6 +299,12 @@ class QuadratureConfig:
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
+
+# shell profile of the nD ball_average_radii (see _annulus_integrals)
+_GAP_NODES = 4  # Gauss-Legendre nodes per annulus piece
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAP_NODES)
+_MAX_PIECE = 0.05  # widest annulus piece, relative to its outer radius
+_CHUNK_POINTS = 1 << 18  # shell points per batched evaluation
 
 
 @lru_cache(maxsize=32)
@@ -319,10 +335,19 @@ def _sphere_rule(n: int, m: int):
 
 
 @lru_cache(maxsize=32)
+def _ball_directions(n: int, q: int, ang: int):
+    """Directions (m, n) of the nD ball rule, weights summing to the area."""
+    if n == 2:
+        phi = 2.0 * math.pi * (np.arange(ang) + 0.5) / ang
+        u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        return u, np.full(ang, 2.0 * math.pi / ang)
+    if n == 3:
+        return _sphere_rule(3, 2 * q * q)
+    raise ValueError(f"unsupported dimension {n} (1-3 only)")
+
+
+@lru_cache(maxsize=32)
 def _ball_rule(n: int, q: int, ang: int):
-    t, wt = np.polynomial.legendre.leggauss(q)
-    rho = 0.5 * (t + 1.0)  # radial nodes on [0, 1]
-    wrho = 0.5 * wt
     if n == 1:
         # composite midpoint: |f| integrands have kinks, where Gauss rules
         # stall around 1e-4; the dense low-order rule reaches ~1e-7
@@ -330,18 +355,13 @@ def _ball_rule(n: int, q: int, ang: int):
         nodes = (-1.0 + (2.0 * np.arange(m) + 1.0) / m)[:, None]
         w = np.full(m, 2.0 / m)
         return nodes, w
-    if n == 2:
-        phi = 2.0 * math.pi * (np.arange(ang) + 0.5) / ang
-        u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        nodes = rho[:, None, None] * u[None, :, :]
-        w = (wrho * rho)[:, None] * (2.0 * math.pi / ang)
-        return nodes.reshape(-1, 2), np.broadcast_to(w, (q, ang)).ravel().copy()
-    if n == 3:
-        dirs, wdir = _sphere_rule(3, 2 * q * q)
-        nodes = rho[:, None, None] * dirs[None, :, :]
-        w = (wrho * rho**2)[:, None] * wdir[None, :]
-        return nodes.reshape(-1, 3), w.ravel().copy()
-    raise ValueError(f"unsupported dimension {n} (1-3 only)")
+    t, wt = np.polynomial.legendre.leggauss(q)
+    rho = 0.5 * (t + 1.0)  # radial nodes on [0, 1]
+    wrho = 0.5 * wt
+    dirs, wdir = _ball_directions(n, q, ang)
+    nodes = rho[:, None, None] * dirs[None, :, :]
+    w = (wrho * rho ** (n - 1))[:, None] * wdir[None, :]
+    return nodes.reshape(-1, n), w.ravel()
 
 
 def _check_finite(values: np.ndarray, points: np.ndarray):
@@ -382,11 +402,17 @@ def ball_average(
         if not math.isfinite(val):
             raise NumericDomainError(x, val)
         return val / (2.0 * r)
+    return _ball_rule_sum(f, x, r, quadrature) / unit_ball_volume(f.dimension)
+
+
+def _ball_rule_sum(f, x, r: float, quadrature) -> float:
+    """The ball rule's weighted sum of f on B(x, r): the average times the
+    unit-ball volume."""
     nodes, w = quadrature.ball_rule(f.dimension)
     pts = x[None, :] + r * nodes
     vals = f.evaluate_many(pts)
     _check_finite(vals, pts)
-    return float(w @ vals) / unit_ball_volume(f.dimension)
+    return float(w @ vals)
 
 
 def ball_average_radii(
@@ -395,20 +421,106 @@ def ball_average_radii(
     radii: np.ndarray,
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
-    """ball_average at many radii in one batched evaluation."""
+    """ball_average at finite, strictly ascending radii >= 0.
+
+    A radius 0 gives f(x).  In 1D every radius gets the ball rule, in one
+    batched evaluation.  In 2D and 3D the averages come from one
+    cumulative radial integral, the shell profile: the ball rule at the
+    first positive radius, then the integral of f over each annulus
+    between consecutive radii (:func:`_annulus_integrals`).  Where
+    consecutive radii are close, as on the radius grid of
+    ``maxop.maximal``, this costs a few shells per radius instead of a
+    whole ball.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     radii = np.asarray(radii, dtype=float)
-    nodes, w = quadrature.ball_rule(f.dimension)
-    pts = x[None, None, :] + radii[:, None, None] * nodes[None, :, :]
-    flat = pts.reshape(-1, f.dimension)
-    vals = f.evaluate_many(flat)
-    _check_finite(vals, flat)
-    vals = vals.reshape(len(radii), -1)
-    out = vals @ w / unit_ball_volume(f.dimension)
-    zero = radii == 0.0
-    if np.any(zero):
-        out[zero] = f(x)
+    if radii.ndim != 1 or not (
+        np.all(np.isfinite(radii))
+        and np.all(radii >= 0.0)
+        and np.all(np.diff(radii) > 0.0)
+    ):
+        raise ValueError(
+            f"radii must be finite, >= 0 and strictly ascending, got {radii}"
+        )
+    out = np.empty(len(radii))
+    start = int(len(radii) > 0 and radii[0] == 0.0)
+    if start:
+        out[0] = f(x)
+        _check_finite(out[:1], x[None, :])
+    pos = radii[start:]
+    if len(pos) == 0:
+        return out
+    if f.dimension == 1:
+        nodes, w = quadrature.ball_rule(1)
+        pts = x[None, None, :] + pos[:, None, None] * nodes[None, :, :]
+        flat = pts.reshape(-1, 1)
+        vals = f.evaluate_many(flat)
+        _check_finite(vals, flat)
+        out[start:] = vals.reshape(len(pos), -1) @ w / unit_ball_volume(1)
+        return out
+    # the ball rule at the first radius, then one annulus per later radius
+    n = f.dimension
+    first = _ball_rule_sum(f, x, pos[0], quadrature)
+    annuli = _annulus_integrals(f, x, pos[:-1], pos[1:], quadrature)
+    totals = first * pos[0] ** n + np.concatenate(([0.0], np.cumsum(annuli)))
+    out[start:] = totals / (unit_ball_volume(n) * pos**n)
+    out[start] = first / unit_ball_volume(n)  # exactly ball_average's value
     return out
+
+
+def _profile_at(f, x, radii, averages, r: float) -> float:
+    """The shell profile of ``ball_average_radii(f, x, radii)`` at r.
+
+    Adds the annulus from the largest tabulated radius g <= r to r, so it
+    returns ``averages`` exactly at a tabulated radius, and a search that
+    mixes tabulated and new radii compares values of one rule.
+    """
+    k = int(np.searchsorted(radii, r, side="right")) - 1
+    if k < 0:
+        raise ValueError(f"radius {r} lies below the tabulated radii")
+    g = float(radii[k])
+    if r == g:
+        return float(averages[k])
+    n = f.dimension
+    vol = unit_ball_volume(n)
+    annulus = _annulus_integrals(f, x, np.array([g]), np.array([r]), DEFAULT_QUADRATURE)
+    return float((averages[k] * vol * g**n + annulus[0]) / (vol * r**n))
+
+
+def _annulus_integrals(f, x, lo, hi, quadrature) -> np.ndarray:
+    """Integral of f over each annulus lo[k] < |y - x| < hi[k], hi > lo >= 0.
+
+    In polar form this is the integral over s in [lo, hi] of s^(n-1)
+    times the ball rule's direction sum of f(x + s u).  Each gap is cut
+    into equal pieces no wider than _MAX_PIECE of its outer radius, with
+    a _GAP_NODES-node Gauss-Legendre rule on each piece.  The shell
+    points are evaluated at most _CHUNK_POINTS at a time, so memory does
+    not grow with the number of radii.
+    """
+    n = f.dimension
+    dirs, wdir = _ball_directions(n, quadrature.radial_order, quadrature.angular_order)
+    m = len(dirs)
+    dirs_t = np.ascontiguousarray(dirs.T)
+    pieces = np.maximum(1, np.ceil((hi - lo) / (_MAX_PIECE * hi))).astype(int)
+    gap = np.repeat(np.arange(len(lo)), pieces)
+    j = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = (hi - lo)[gap] / pieces[gap]
+    a = lo[gap] + j * step
+    b = np.where(j == pieces[gap] - 1, hi[gap], a + step)
+    half = 0.5 * (b - a)
+    s = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
+    shell = np.empty(len(s))
+    per_chunk = max(1, _CHUNK_POINTS // m)
+    for i in range(0, len(s), per_chunk):
+        # the transpose of an (n, points) array: per-coordinate work in a
+        # batch evaluator (sums of squares, differences) reads unit strides
+        shells = s[None, i : i + per_chunk, None] * dirs_t[:, None, :]
+        pts = (x[:, None, None] + shells).reshape(n, -1).T
+        vals = f.evaluate_many(pts)
+        _check_finite(vals, pts)
+        shell[i : i + per_chunk] = vals.reshape(-1, m) @ wdir
+    radial = (s ** (n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
+    return np.bincount(gap, weights=half * radial, minlength=len(lo))
 
 
 def sphere_average_derivative(

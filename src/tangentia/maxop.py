@@ -5,6 +5,13 @@ The radius search is a log-spaced grid with Brent's bounded-method
 refinement on every bracketed local maximum: the objective r -> average
 of |f| on B(x, r) is multimodal in general, so unimodal search alone is
 unsound.
+In 2D and 3D the grid averages are one cumulative shell profile
+(``funcspace.ball_average_radii``): the ball rule at the first radius,
+then a 4-node Gauss-Legendre integral over each annulus between grid
+radii.  Refinement extends that profile from the nearest grid radius
+below, so it reproduces the grid values exactly and never compares two
+rules.  In 1D the grid uses the dense midpoint ball rule and refinement
+the adaptive ``funcspace.ball_average``.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and
 value(inf) = the flat tail of the averages.
 """
@@ -21,6 +28,7 @@ from .errors import MaximalBlowupError
 from .funcspace import (
     DirectionalFunction,
     _grid_points,
+    _profile_at,
     absolute,
     ball_average,
     ball_average_radii,
@@ -154,7 +162,11 @@ def maximal(
         rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True})
         return value, rset
 
-    fn = lambda r: ball_average(absf, x, r)  # noqa: E731
+    if f.dimension == 1:
+        fn = lambda r: ball_average(absf, x, r)  # noqa: E731
+    else:
+        # refine on the coarse stage's own shell profile: one rule throughout
+        fn = lambda r: _profile_at(absf, x, grid, avgs, r)  # noqa: E731
     interior = np.flatnonzero(
         (avgs[1:-1] >= avgs[:-2]) & (avgs[1:-1] >= avgs[2:])
     ) + 1

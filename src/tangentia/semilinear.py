@@ -117,11 +117,16 @@ class SemiLinearSubspace:
 def _cone_project(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Project each row of Z (m, n) onto cone(P rows); P rows are unit, k <= 2.
 
-    A row whose interior solve has nonnegative coefficients maps to that
-    combination; any other row maps to the nearest of the origin and its
-    clipped edge projections t_i p_i, t_i = max(p_i . z, 0).  Since
+    A row whose projection onto span(P) has nonnegative coefficients maps
+    to that projection; any other row maps to the nearest of the origin and
+    its clipped edge projections t_i p_i, t_i = max(p_i . z, 0).  Since
     |z - t_i p_i|^2 = |z|^2 - t_i^2, that is the edge with the largest
     t_i (the first on ties), and the origin when every t_i is 0.
+
+    The interior works in an orthonormal frame Q of span(P): the span
+    projection is Q (Q^T z), and only the coefficient signs come from the
+    rays' coordinates in that frame.  Forming lam @ P instead loses
+    |z| eps / sin^2(angle) to cancellation when the rays are nearly opposite.
     """
     k = P.shape[0]
     if k == 0:
@@ -131,11 +136,19 @@ def _cone_project(Z: np.ndarray, P: np.ndarray) -> np.ndarray:
     edge = t[np.arange(len(Z)), i, None] * P[i]
     if k == 1:
         return edge
-    try:
-        lam = np.linalg.solve(P @ P.T, P @ Z.T).T
-    except np.linalg.LinAlgError:
+    # Gram-Schmidt with one reorthogonalisation: p_1 = q_1, p_2 = c q_1 + s q_2
+    c = P[0] @ P[1]
+    u = P[1] - c * P[0]
+    u -= (P[0] @ u) * P[0]
+    s = np.linalg.norm(u)
+    if s == 0.0:
         return edge  # parallel rays span no interior
-    return np.where(np.all(lam >= 0.0, axis=1)[:, None], lam @ P, edge)
+    Q = np.stack([P[0], u / s], axis=1)  # (n, 2)
+    Y = Z @ Q  # (m, 2) coordinates in span(P)
+    lam1 = (Y[:, 0] * s - Y[:, 1] * c) / s
+    lam2 = Y[:, 1] / s
+    inside = (lam1 >= 0.0) & (lam2 >= 0.0)
+    return np.where(inside[:, None], Y @ Q.T, edge)
 
 
 def _fix_sign(v: np.ndarray) -> np.ndarray:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangentia import funcspace
 from tangentia.errors import NumericDomainError, SpecParseError
@@ -10,6 +12,8 @@ from tangentia.funcspace import (
     DirectionalFunction,
     GridFunction,
     ball_average,
+    ball_average_radii,
+    make_gauss,
     parse_function_spec,
     sphere_average_derivative,
     unit_ball_volume,
@@ -112,6 +116,164 @@ def test_ball_average_nonfinite_propagates_point():
     f = DirectionalFunction(evaluator=ev, dimension=1)
     with pytest.raises(NumericDomainError):
         ball_average(f, [0.0], 0.0)
+
+
+# ---------------------------------------------------------------------------
+# ball_average_radii: the nD shell profile
+
+
+def _counting(f):
+    """f with a batch evaluator that records the size of every batch."""
+    sizes = []
+
+    def batch(pts):
+        sizes.append(len(pts))
+        return f.batch_evaluator(pts)
+
+    return DirectionalFunction(
+        evaluator=f.evaluator, dimension=f.dimension, batch_evaluator=batch
+    ), sizes
+
+
+@pytest.mark.parametrize(
+    "radii",
+    [
+        [0.5, 0.2, 1.0],
+        [0.2, 0.2, 1.0],
+        [-0.1, 0.2],
+        [0.1, math.nan],
+        [0.1, math.inf],
+    ],
+    ids=["unsorted", "repeated", "negative", "nan", "inf"],
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ball_average_radii_refuses_bad_radii(radii, n):
+    f = make_gauss(0.5, n)
+    with pytest.raises(ValueError, match="radii"):
+        ball_average_radii(f, np.zeros(n), radii)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_average_radii_leading_zero_is_center_value(n):
+    f = make_gauss(0.5, n)
+    x = np.full(n, 0.3)
+    radii = np.array([0.0, 0.1, 0.4, 0.5])
+    out = ball_average_radii(f, x, radii)
+    assert out[0] == f(x)
+    for a, r in zip(out[1:], radii[1:]):
+        assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_average_radii_sparse_radii_accurate(n):
+    # a wide gap is cut into pieces, so sparse radii lose no accuracy
+    f = make_gauss(0.5, n)
+    x = np.array([0.4, -0.2, 0.1][:n])
+    out = ball_average_radii(f, x, [0.05, 1.5, 2.5])
+    for a, r in zip(out, (0.05, 1.5, 2.5)):
+        assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, evals", [(2, 132_864), (3, 4_251_648)])
+def test_ball_average_radii_cost_and_chunks(n, evals):
+    # the maximal-operator grid: one ball rule, then 4 shells per gap, in
+    # batches of at most _CHUNK_POINTS points
+    f, sizes = _counting(make_gauss(0.5, n))
+    radii = np.geomspace(1e-3, 100.0, 512)
+    ball_average_radii(f, np.full(n, 0.2), radii)
+    assert sum(sizes) == evals
+    assert max(sizes) <= funcspace._CHUNK_POINTS
+
+
+def test_ball_average_radii_chunking_does_not_change_values(monkeypatch):
+    f = make_gauss(0.5, 3)
+    x = np.array([1.1, 0.2, -0.3])
+    radii = np.geomspace(1e-3, 20.0, 64)
+    whole = ball_average_radii(f, x, radii)
+    monkeypatch.setattr(funcspace, "_CHUNK_POINTS", 3000)
+    chunked = ball_average_radii(f, x, radii)
+    assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
+
+
+def test_ball_average_radii_checks_every_chunk():
+    # f is non-finite only beyond |y| = 30, which late chunks reach
+    def batch(pts):
+        r = np.linalg.norm(pts, axis=1)
+        return np.where(r > 30.0, np.nan, 1.0)
+
+    f = DirectionalFunction(
+        evaluator=lambda y: float(batch(y[None, :])[0]),
+        dimension=3,
+        batch_evaluator=batch,
+    )
+    with pytest.raises(NumericDomainError):
+        ball_average_radii(f, np.zeros(3), np.geomspace(1e-3, 40.0, 512))
+
+
+def _ascending_radii(draw, leading_zero: bool):
+    r0 = draw(st.floats(1e-3, 1.0))
+    steps = draw(st.lists(st.floats(1e-3, 0.6), min_size=0, max_size=8))
+    radii = r0 * np.cumprod([1.0] + [1.0 + t for t in steps])
+    radii = radii[radii <= 3.0]
+    return np.concatenate(([0.0], radii)) if leading_zero else radii
+
+
+@st.composite
+def _affine_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    coord = st.floats(-2.0, 2.0)
+    a = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+    c = draw(st.floats(-5.0, 5.0))
+    x = np.array(draw(st.lists(coord, min_size=n, max_size=n)))
+    return n, a, c, x, _ascending_radii(draw, draw(st.booleans()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_affine_cases())
+def test_ball_average_radii_affine_is_center_value(case):
+    n, a, c, x, radii = case
+    f = DirectionalFunction(
+        evaluator=lambda y: float(a @ y + c),
+        dimension=n,
+        batch_evaluator=lambda p: p @ a + c,
+    )
+    fx = float(a @ x + c)
+    out = ball_average_radii(f, x, radii)
+    assert np.all(np.abs(out - fx) <= 1e-12 * (1.0 + abs(fx)))
+
+
+@st.composite
+def _gauss_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    s = draw(st.floats(0.4, 1.0))
+    x = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
+    return n, s, x, _ascending_radii(draw, False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_gauss_cases())
+def test_shell_profile_matches_ball_average_and_extends_exactly(case):
+    n, s, x, radii = case
+    f = make_gauss(s, n)
+    out = ball_average_radii(f, x, radii)
+    for k, r in enumerate(radii):
+        # the refinement's extension returns the tabulated value itself
+        assert funcspace._profile_at(f, x, radii, out, float(r)) == out[k]
+        assert abs(out[k] - ball_average(f, x, r)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_profile_extension_between_radii(n):
+    f = make_gauss(0.5, n)
+    x = np.array([1.0, 0.3, 0.0][:n])
+    radii = np.geomspace(0.01, 4.0, 64)
+    out = ball_average_radii(f, x, radii)
+    for r in (0.0123, 0.77, 1.3, 3.99):
+        assert funcspace._profile_at(f, x, radii, out, r) == pytest.approx(
+            ball_average(f, x, r), abs=1e-12
+        )
+    with pytest.raises(ValueError, match="below"):
+        funcspace._profile_at(f, x, radii, out, 0.005)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 
 from tangentia import maxop
 from tangentia.errors import MaximalBlowupError
@@ -135,6 +137,125 @@ def test_discontinuous_rejected():
     f = DirectionalFunction(evaluator=lambda x: 0.0, dimension=1, continuous=False)
     with pytest.raises(ValueError):
         maximal(f, [0.0])
+
+
+# ---------------------------------------------------------------------------
+# nD maximal values and radii, against a radial-reduction oracle
+
+
+def gauss_average(rho, r, s, n):
+    """Average of gauss(s) over B(x, r) for |x| = rho, in 2D or 3D.
+
+    The ball is cut into spheres |y| = t about the origin: those with
+    t <= r - rho lie inside it; for |r - rho| < t < r + rho the part
+    inside is a cap of area pi t (r^2 - (t - rho)^2) / rho in 3D and an
+    arc of length 2 t arccos((t^2 + rho^2 - r^2) / (2 t rho)) in 2D.
+    """
+
+    def g(t):
+        return math.exp(-0.5 * t * t / (s * s))
+
+    if n == 3:
+        def whole(t):
+            return 4.0 * math.pi * t * t * g(t)
+
+        def part(t):
+            return math.pi * t * (r * r - (t - rho) ** 2) / rho * g(t)
+
+        volume = 4.0 / 3.0 * math.pi * r**3
+    else:
+        def whole(t):
+            return 2.0 * math.pi * t * g(t)
+
+        def part(t):
+            c = (t * t + rho * rho - r * r) / (2.0 * t * rho)
+            return 2.0 * t * math.acos(min(1.0, max(-1.0, c))) * g(t)
+
+        volume = math.pi * r * r
+    opts = dict(epsabs=1e-15, epsrel=1e-13, limit=200)
+    total = quad(whole, 0.0, max(r - rho, 0.0), **opts)[0]
+    if rho > 0.0:
+        total += quad(part, abs(r - rho), r + rho, **opts)[0]
+    return total / volume
+
+
+def gauss_maximal(rho, s, n, lam=0.0):
+    """(value, best radius) of M_lam gauss(s) at |x| = rho; radius 0 is
+    gauss(rho) itself."""
+    grid = np.geomspace(max(lam, 1e-3), 20.0, 240)
+    vals = [gauss_average(rho, r, s, n) for r in grid]
+    i = int(np.argmax(vals))
+    a, b = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+    res = minimize_scalar(
+        lambda r: -gauss_average(rho, r, s, n),
+        bounds=(a, b),
+        method="bounded",
+        options={"xatol": 1e-12},
+    )
+    cands = [(vals[i], grid[i]), (-res.fun, res.x)]
+    if lam == 0.0:
+        cands.append((math.exp(-0.5 * rho * rho / (s * s)), 0.0))
+    return max(cands)
+
+
+@pytest.mark.parametrize(
+    "x, lam",
+    [
+        ((0.3, 0.1), 0.0),
+        ((1.2, 0.4), 0.0),
+        ((0.3, 0.1, 0.0), 0.0),
+        ((1.3, 0.05, 0.02), 0.0),
+        ((0.3, 0.1), 0.8),
+    ],
+    ids=["2d-radius-0", "2d-finite", "3d-radius-0", "3d-finite", "2d-lambda"],
+)
+def test_gauss_nd_matches_radial_oracle(x, lam):
+    n = len(x)
+    v, rset = maximal(parse_function_spec(f"gauss(0.5,{n})"), x, lam=lam)
+    ref, r_ref = gauss_maximal(float(np.linalg.norm(x)), 0.5, n, lam)
+    assert v == pytest.approx(ref, abs=1e-9)
+    assert len(rset.radii) == 1
+    assert rset.radii[0] == pytest.approx(r_ref, abs=1e-4)
+    if lam > 0:
+        assert rset.radii[0] == lam  # the average falls off past lambda
+
+
+@pytest.mark.parametrize(
+    "spec, x",
+    [
+        ("maxaffine[(1,0,-1),(-1,0,-1)]", (0.3, 0.0)),
+        ("distpoly[(0,0),(1,0),(1,1),(0,1)]", (0.5, 0.4)),
+    ],
+)
+def test_unbounded_2d_keeps_inf_marker(spec, x):
+    # |f| grows without bound, so the tail wins and is reported as inf
+    _, rset = maximal(parse_function_spec(spec), x)
+    assert rset.radii[-1] == math.inf
+    assert len(rset.finite()) == 1
+
+
+def test_constant_3d_flat_radii():
+    f = DirectionalFunction(
+        evaluator=lambda x: 2.5,
+        dimension=3,
+        batch_evaluator=lambda p: np.full(p.shape[0], 2.5),
+        support=(np.full(3, -1.0), np.full(3, 1.0)),
+    )
+    v, rset = maximal(f, [0.2, -0.1, 0.4])
+    assert v == 2.5
+    assert rset.radii == (0.0, math.inf)
+    assert rset.trace == {"flat": True}
+
+
+def test_blowup_guard_3d():
+    f = DirectionalFunction(
+        evaluator=lambda x: 1e13 / (1.0 + float(x @ x)),
+        dimension=3,
+        batch_evaluator=lambda p: 1e13 / (1.0 + np.sum(p * p, axis=1)),
+        support=(np.full(3, -1.0), np.full(3, 1.0)),
+    )
+    with pytest.raises(MaximalBlowupError):
+        maximal(f, [0.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
@@ -98,8 +98,8 @@ def test_generators_are_members():
 # cone projection and membership against an NNLS oracle
 
 # generators on a 0.01 grid: parallel, opposite, zero and in-V generators
-# occur, while distinct ray directions stay far enough apart for the
-# interior 2x2 solve to be well conditioned
+# occur, and so do rays at a few 1e-4 rad from opposite, whose wide cone
+# makes lam @ P cancel (the two explicit examples below)
 _coord = st.integers(-200, 200).map(lambda i: i / 100.0)
 
 
@@ -128,6 +128,10 @@ def _nnls_projection(W, w):
 
 @settings(max_examples=300, deadline=None)
 @given(_cone_cases())
+@example((semilinear(2, [], [[-1.53, 0.89], [1.72, -1.0]]), np.array([[0.0, 2.0]])))
+@example(
+    (semilinear(2, [], [[-1.53, 0.88], [0.87, -0.5]]), np.array([[0.0, 0.0], [1.0, 2.0]]))
+)
 def test_cone_project_matches_nnls_oracle(case):
     W, pts = case
     scale = 1.0 + np.linalg.norm(pts, axis=1)
