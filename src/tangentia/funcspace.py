@@ -202,13 +202,23 @@ class GridFunction:
         return self._interpolator()(np.atleast_2d(points))
 
     def as_function(self) -> DirectionalFunction:
+        """The interpolant; a point outside the sample box is refused."""
         interp = self._interpolator()
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
+
+        def batch(pts):
+            outside = np.any((pts < lo) | (pts > hi), axis=1)
+            if np.any(outside):
+                p = tuple(pts[np.argmax(outside)].tolist())
+                box = " x ".join(f"[{a:g}, {b:g}]" for a, b in zip(lo, hi))
+                raise ValueError(f"point {p} lies outside the sample box {box}")
+            return np.asarray(interp(pts), dtype=float)
+
         return DirectionalFunction(
-            evaluator=lambda x: float(interp(x[None, :])[0]),
+            evaluator=lambda x: float(batch(x[None, :])[0]),
             dimension=self.dimension,
-            batch_evaluator=lambda pts: np.asarray(interp(pts), dtype=float),
+            batch_evaluator=batch,
             support=(lo, hi),
             label="grid",
         )
@@ -259,23 +269,23 @@ class GridFunction:
 class QuadratureConfig:
     """Ball and sphere rules per dimension.
 
-    Ball rules in 2D and 3D are polar/spherical products (smooth
-    integrands, no indicator weighting): ``radial_order`` Gauss-Legendre
-    nodes radially with the r^(n-1) Jacobian folded into the weights,
-    times a fixed direction set, ``angular_order`` equal angles in 2D
-    and the 3D sphere rule with 2 ``radial_order``^2 nodes (Gauss-Legendre
-    in the polar cosine, equal-angle azimuth) in 3D.  In 1D the ball rule
-    is a composite midpoint rule with 128 ``radial_order`` nodes, and
-    ``ball_average`` itself integrates adaptively.  Sphere rules use
-    ``sphere_nodes`` total nodes.  Weights are normalized so the ball
-    rule integrates 1 to the exact ball volume and the sphere rule to
-    the exact surface area.
+    Ball rules are polar/spherical products (smooth integrands, no
+    indicator weighting): ``radial_order`` Gauss-Legendre nodes radially
+    with the r^(n-1) Jacobian folded into the weights, times a fixed
+    direction set: the two points +-1 in 1D, ``angular_order`` equal
+    angles in 2D and the 3D sphere rule with 2 ``radial_order``^2 nodes
+    (Gauss-Legendre in the polar cosine, equal-angle azimuth) in 3D.
+    Sphere rules use ``sphere_nodes`` total nodes.  Weights are
+    normalized so the ball rule integrates 1 to the exact ball volume and
+    the sphere rule to the exact surface area.
 
-    ``ball_average_radii`` in 2D and 3D applies the ball rule at its
-    first positive radius only.  Beyond it, it integrates over the same
-    directions on annuli, with _GAP_NODES = 4 Gauss-Legendre radii per
-    piece, pieces at most _MAX_PIECE = 5 % of their outer radius wide,
-    and at most _CHUNK_POINTS = 2^18 points per batched evaluation.
+    ``ball_average_radii`` applies the ball rule at its first positive
+    radius only.  Beyond it, it integrates over the same directions on
+    annuli, with _GAP_NODES = 4 Gauss-Legendre radii per piece, pieces at
+    most _MAX_PIECE = 5 % of their outer radius wide, and at most
+    _CHUNK_POINTS = 2^18 points per batched evaluation.  ``ball_average``
+    integrates a positive 1D radius adaptively: a 4-node piece is blind to
+    a kink near its ends, where in 2D and 3D the direction sum smooths it.
     """
 
     radial_order: int = 32
@@ -300,7 +310,7 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-# shell profile of the nD ball_average_radii (see _annulus_integrals)
+# shell profile of ball_average_radii (see _annulus_integrals)
 _GAP_NODES = 4  # Gauss-Legendre nodes per annulus piece
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAP_NODES)
 _MAX_PIECE = 0.05  # widest annulus piece, relative to its outer radius
@@ -336,7 +346,9 @@ def _sphere_rule(n: int, m: int):
 
 @lru_cache(maxsize=32)
 def _ball_directions(n: int, q: int, ang: int):
-    """Directions (m, n) of the nD ball rule, weights summing to the area."""
+    """Directions (m, n) of the ball rule, weights summing to the area."""
+    if n == 1:
+        return _sphere_rule(1, 2)
     if n == 2:
         phi = 2.0 * math.pi * (np.arange(ang) + 0.5) / ang
         u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
@@ -348,13 +360,6 @@ def _ball_directions(n: int, q: int, ang: int):
 
 @lru_cache(maxsize=32)
 def _ball_rule(n: int, q: int, ang: int):
-    if n == 1:
-        # composite midpoint: |f| integrands have kinks, where Gauss rules
-        # stall around 1e-4; the dense low-order rule reaches ~1e-7
-        m = 128 * q
-        nodes = (-1.0 + (2.0 * np.arange(m) + 1.0) / m)[:, None]
-        w = np.full(m, 2.0 / m)
-        return nodes, w
     t, wt = np.polynomial.legendre.leggauss(q)
     rho = 0.5 * (t + 1.0)  # radial nodes on [0, 1]
     wrho = 0.5 * wt
@@ -377,20 +382,15 @@ def ball_average(
     r: float,
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> float:
-    """Average of f over the ball B(x, r); f(x) itself when r = 0."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if r < 0:
-        raise ValueError(f"radius must be >= 0, got {r}")
-    if r == 0.0:
-        v = f(x)
-        if not math.isfinite(v):
-            raise NumericDomainError(x, v)
-        return v
-    if f.dimension == 1:
-        # adaptive: integrands with kinks at unknown positions need
-        # subdivision to reach the advertised 1e-6 field accuracy
+    """Average of f over the ball B(x, r); f(x) itself when r = 0.
+
+    A positive 1D radius is integrated adaptively, the 1D refinement rule
+    (see ``ball_average_radii``); every other radius goes to that function.
+    """
+    if f.dimension == 1 and 0.0 < r < math.inf:
         from scipy.integrate import quad
 
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         val, _ = quad(
             lambda t: f.evaluator(np.array([t])),
             float(x[0]) - r,
@@ -402,7 +402,7 @@ def ball_average(
         if not math.isfinite(val):
             raise NumericDomainError(x, val)
         return val / (2.0 * r)
-    return _ball_rule_sum(f, x, r, quadrature) / unit_ball_volume(f.dimension)
+    return float(ball_average_radii(f, x, [r], quadrature)[0])
 
 
 def _ball_rule_sum(f, x, r: float, quadrature) -> float:
@@ -421,16 +421,17 @@ def ball_average_radii(
     radii: np.ndarray,
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
-    """ball_average at finite, strictly ascending radii >= 0.
+    """Averages of f over B(x, r) at finite, strictly ascending radii >= 0.
 
-    A radius 0 gives f(x).  In 1D every radius gets the ball rule, in one
-    batched evaluation.  In 2D and 3D the averages come from one
-    cumulative radial integral, the shell profile: the ball rule at the
-    first positive radius, then the integral of f over each annulus
-    between consecutive radii (:func:`_annulus_integrals`).  Where
-    consecutive radii are close, as on the radius grid of
-    ``maxop.maximal``, this costs a few shells per radius instead of a
-    whole ball.
+    A radius 0 gives f(x).  The averages come from one cumulative radial
+    integral, the shell profile: the ball rule at the first positive
+    radius, then the integral of f over each annulus between consecutive
+    radii (:func:`_annulus_integrals`).  Where consecutive radii are
+    close, as on the radius grid of ``maxop.maximal``, this costs a few
+    shells per radius instead of a whole ball.  A 1D shell is the two
+    points x +- s, so a 4-node piece is blind to a kink of f near its
+    ends: the 1D radius search refines on the adaptive ``ball_average``,
+    while in 2D and 3D the direction sum smooths kinks.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     radii = np.asarray(radii, dtype=float)
@@ -449,14 +450,6 @@ def ball_average_radii(
         _check_finite(out[:1], x[None, :])
     pos = radii[start:]
     if len(pos) == 0:
-        return out
-    if f.dimension == 1:
-        nodes, w = quadrature.ball_rule(1)
-        pts = x[None, None, :] + pos[:, None, None] * nodes[None, :, :]
-        flat = pts.reshape(-1, 1)
-        vals = f.evaluate_many(flat)
-        _check_finite(vals, flat)
-        out[start:] = vals.reshape(len(pos), -1) @ w / unit_ball_volume(1)
         return out
     # the ball rule at the first radius, then one annulus per later radius
     n = f.dimension
@@ -538,8 +531,8 @@ def sphere_average_derivative(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if r <= 0:
-        raise ValueError(f"radius must be > 0, got {r}")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"radius must be finite and > 0, got {r}")
     dirs, w = quadrature.sphere_rule(f.dimension)
     pts = x[None, :] + r * dirs
     vals = f.evaluate_many(pts)

@@ -5,13 +5,15 @@ The radius search is a log-spaced grid with Brent's bounded-method
 refinement on every bracketed local maximum: the objective r -> average
 of |f| on B(x, r) is multimodal in general, so unimodal search alone is
 unsound.
-In 2D and 3D the grid averages are one cumulative shell profile
+The grid averages are one cumulative shell profile
 (``funcspace.ball_average_radii``): the ball rule at the first radius,
 then a 4-node Gauss-Legendre integral over each annulus between grid
-radii.  Refinement extends that profile from the nearest grid radius
-below, so it reproduces the grid values exactly and never compares two
-rules.  In 1D the grid uses the dense midpoint ball rule and refinement
-the adaptive ``funcspace.ball_average``.
+radii.  In 2D and 3D refinement extends that profile from the nearest
+grid radius below, so it reproduces the grid values exactly and never
+compares two rules.  In 1D refinement uses the adaptive
+``funcspace.ball_average``: a 1D shell is two points, so a 4-node piece
+is blind to a kink of f near its ends, while in 2D and 3D the direction
+sum smooths kinks.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and
 value(inf) = the flat tail of the averages.
 """

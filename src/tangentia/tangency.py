@@ -108,16 +108,19 @@ def fit_tangent(
     """Top-k principal directions of {p - x}, weighted by 1/|p - x|.
 
     The weighting makes the fit scale-free (each shell contributes
-    comparably).  Deterministic: eigenvectors sorted by eigenvalue and
-    sign-fixed lexicographically.  A k outside 1..n raises, and so does
-    rank deficiency below k, with the achievable rank in the message.
+    comparably).  Displacements below the resolution floor of
+    ``is_k_tangential`` are dropped: their direction is sampling noise,
+    which the weighting would let dominate.  Deterministic: eigenvectors
+    sorted by eigenvalue and sign-fixed lexicographically.  A k outside
+    1..n raises, and so does rank deficiency below k, with the achievable
+    rank in the message.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_k(k, points.shape[1])
     x = np.atleast_1d(np.asarray(x, dtype=float))
     h = points - x[None, :]
     norms = np.linalg.norm(h, axis=1)
-    keep = norms > 1e-14
+    keep = norms > max(1e-14, _RESOLUTION_FLOOR * _nn_spacing(points))
     if radius is not None:
         keep &= norms <= radius
     h = h[keep]

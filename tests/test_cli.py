@@ -6,6 +6,7 @@ import pytest
 
 from tangentia import cli
 from tangentia.cli import ExperimentConfig, run
+from tangentia.funcspace import GridFunction, make_gauss
 
 
 def read_body(path):
@@ -209,6 +210,24 @@ def test_missing_grid_file_exits_1(tmp_path):
         ["dirderiv", "--function", f"grid:{missing}", "--point", "0.5", "--theta", "1"]
     )
     assert rc == 1
+
+
+def test_grid_function_outside_its_samples_exits_1(tmp_path, capsys):
+    # the default r_max reaches far beyond the sample box [-3, 3]^2
+    grid = tmp_path / "g.csv"
+    GridFunction.from_function(
+        make_gauss(0.5, 2), [-3.0, -3.0], [3.0, 3.0], (41, 41)
+    ).to_csv(grid)
+    out = tmp_path / "mf.csv"
+    argv = ["maximal-field", "--function", f"grid:{grid}", "--box=-1,1",
+            "--res", "3", "--out", str(out)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "outside the sample box [-3, 3] x [-3, 3]" in err
+    assert "xi" not in err
+    assert not out.exists()
+    assert run(argv + ["--r-max", "0.9"]) == 0
+    assert out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -102,6 +102,18 @@ def test_ball_average_r_zero_and_limit():
         assert abs(ball_average(tent, [x], 1e-4) - fx) < 1e-4
 
 
+@pytest.mark.parametrize("r", [math.inf, math.nan])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_nonfinite_radius_refused(r, n):
+    # neither a silent 0.0 nor an error that blames f
+    f = make_gauss(0.5, n)
+    x = np.zeros(n)
+    with pytest.raises(ValueError, match=f"finite.*{r}"):
+        ball_average(f, x, r)
+    with pytest.raises(ValueError, match=f"radius must be finite.*{r}"):
+        sphere_average_derivative(f, x, r, np.eye(n)[0])
+
+
 def test_ball_average_negative_radius_rejected():
     tent = parse_function_spec("tent")
     with pytest.raises(ValueError):
@@ -119,7 +131,7 @@ def test_ball_average_nonfinite_propagates_point():
 
 
 # ---------------------------------------------------------------------------
-# ball_average_radii: the nD shell profile
+# ball_average_radii: the shell profile
 
 
 def _counting(f):
@@ -153,7 +165,7 @@ def test_ball_average_radii_refuses_bad_radii(radii, n):
         ball_average_radii(f, np.zeros(n), radii)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_average_radii_leading_zero_is_center_value(n):
     f = make_gauss(0.5, n)
     x = np.full(n, 0.3)
@@ -164,7 +176,7 @@ def test_ball_average_radii_leading_zero_is_center_value(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_ball_average_radii_sparse_radii_accurate(n):
     # a wide gap is cut into pieces, so sparse radii lose no accuracy
     f = make_gauss(0.5, n)
@@ -174,7 +186,7 @@ def test_ball_average_radii_sparse_radii_accurate(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, evals", [(2, 132_864), (3, 4_251_648)])
+@pytest.mark.parametrize("n, evals", [(1, 4_152), (2, 132_864), (3, 4_251_648)])
 def test_ball_average_radii_cost_and_chunks(n, evals):
     # the maximal-operator grid: one ball rule, then 4 shells per gap, in
     # batches of at most _CHUNK_POINTS points
@@ -220,7 +232,7 @@ def _ascending_radii(draw, leading_zero: bool):
 
 @st.composite
 def _affine_cases(draw):
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([1, 2, 3]))
     coord = st.floats(-2.0, 2.0)
     a = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
     c = draw(st.floats(-5.0, 5.0))
@@ -228,7 +240,7 @@ def _affine_cases(draw):
     return n, a, c, x, _ascending_radii(draw, draw(st.booleans()))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_affine_cases())
 def test_ball_average_radii_affine_is_center_value(case):
     n, a, c, x, radii = case
@@ -244,13 +256,13 @@ def test_ball_average_radii_affine_is_center_value(case):
 
 @st.composite
 def _gauss_cases(draw):
-    n = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([1, 2, 3]))
     s = draw(st.floats(0.4, 1.0))
     x = np.array(draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n)))
     return n, s, x, _ascending_radii(draw, False)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(_gauss_cases())
 def test_shell_profile_matches_ball_average_and_extends_exactly(case):
     n, s, x, radii = case
@@ -262,7 +274,7 @@ def test_shell_profile_matches_ball_average_and_extends_exactly(case):
         assert abs(out[k] - ball_average(f, x, r)) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_profile_extension_between_radii(n):
     f = make_gauss(0.5, n)
     x = np.array([1.0, 0.3, 0.0][:n])

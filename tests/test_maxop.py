@@ -234,6 +234,15 @@ def test_unbounded_2d_keeps_inf_marker(spec, x):
     assert len(rset.finite()) == 1
 
 
+@pytest.mark.parametrize(
+    "spec, box", [("abs", (-2.0, 2.0)), ("dist[0,1.5]", (-2.0, 3.0))]
+)
+def test_unbounded_1d_field_keeps_inf_marker(spec, box):
+    # |f| grows without bound, so the tail wins at every point
+    _, _, radii = maximal_field(parse_function_spec(spec), box, 21)
+    assert all(rs.radii[-1] == math.inf for rs in radii)
+
+
 def test_constant_3d_flat_radii():
     f = DirectionalFunction(
         evaluator=lambda x: 2.5,

@@ -96,7 +96,7 @@ def _chebyshev_dual(A, y):
     return -lp.fun * scale
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     d=st.integers(1, 3),
     extra=st.integers(1, 37),

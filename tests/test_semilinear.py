@@ -126,7 +126,7 @@ def _nnls_projection(W, w):
     return v + P @ lam
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(_cone_cases())
 @example((semilinear(2, [], [[-1.53, 0.89], [1.72, -1.0]]), np.array([[0.0, 2.0]])))
 @example(

@@ -189,6 +189,28 @@ def test_sigma_crossing_lines_two_pieces():
     assert len(pieces) == 2
 
 
+def noisy_crossing_lines(seed, per_line=128, noise=1e-4):
+    """Three lines through the origin 60 degrees apart, turned by a seeded
+    angle, with Gaussian noise."""
+    rng = np.random.default_rng(seed)
+    angles = rng.uniform(0.0, math.pi / 3.0) + math.pi / 3.0 * np.arange(3)
+    lines = []
+    for ang in angles:
+        t = rng.uniform(-1.0, 1.0, size=per_line)
+        d = np.array([math.cos(ang), math.sin(ang)])
+        lines.append(t[:, None] * d + noise * rng.standard_normal((per_line, 2)))
+    return np.vstack(lines)
+
+
+@pytest.mark.parametrize("seed", [3, 8, 9])
+def test_sigma_noisy_crossing_lines_three_pieces(seed):
+    # a near-duplicate sample below the resolution floor must not turn
+    # the fitted tangent off its line
+    ok, pieces, _ = sigma_decompose(noisy_crossing_lines(seed), 1)
+    assert ok
+    assert len(pieces) == 3
+
+
 def test_sigma_disc_fails():
     rng = np.random.default_rng(3)
     pts = rng.uniform(-1.0, 1.0, size=(400, 2))
