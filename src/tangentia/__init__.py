@@ -8,7 +8,6 @@ point sets — all at desk scale (dimensions 1-3).
 """
 
 from .errors import (
-    ConsistencyError,
     LadderDivergenceError,
     MaximalBlowupError,
     NumericDomainError,
@@ -27,7 +26,6 @@ from .funcspace import (
 # note: the submodule's `semilinear` constructor is deliberately not
 # re-exported here so the name keeps referring to the submodule itself
 from .semilinear import (
-    SemiLinearMap,
     SemiLinearSubspace,
     full_space,
     halfspace,

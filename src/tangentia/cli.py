@@ -34,8 +34,8 @@ __all__ = ["ExperimentConfig", "main", "run"]
 class ExperimentConfig:
     """Fully resolved invocation: command plus every option after defaults.
 
-    Round-trips losslessly through JSON; the resolved form (defaults
-    included) is echoed into artifact headers.
+    The resolved form (defaults included) is echoed into artifact
+    headers as JSON.
     """
 
     command: str
@@ -45,11 +45,6 @@ class ExperimentConfig:
         return json.dumps(
             {"command": self.command, "options": self.options}, sort_keys=True
         )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
-        d = json.loads(text)
-        return cls(d["command"], dict(d["options"]))
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:

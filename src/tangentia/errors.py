@@ -27,10 +27,6 @@ class SpecParseError(TangentiaError):
         super().__init__(f"{message} (at position {position})")
 
 
-class ConsistencyError(TangentiaError):
-    """Generator values violate linearity beyond tolerance."""
-
-
 class LadderDivergenceError(TangentiaError):
     """A difference-quotient ladder failed to settle.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -71,12 +71,7 @@ class DirectionalFunction:
     label: str = ""
 
     def __call__(self, x) -> float:
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if x.shape != (self.dimension,):
-            raise ValueError(
-                f"expected a point in R^{self.dimension}, got shape {x.shape}"
-            )
-        return float(self.evaluator(x))
+        return float(self.evaluator(_point(x, self.dimension)))
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Evaluate at an (m, n) array of points, vectorized when possible."""
@@ -88,9 +83,6 @@ class DirectionalFunction:
         if self.batch_evaluator is not None:
             return np.asarray(self.batch_evaluator(points), dtype=float)
         return np.array([self.evaluator(p) for p in points], dtype=float)
-
-    def with_oracle(self, derivative) -> "DirectionalFunction":
-        return replace(self, derivative=derivative)
 
 
 def absolute(f: DirectionalFunction) -> DirectionalFunction:
@@ -131,29 +123,75 @@ def absolute(f: DirectionalFunction) -> DirectionalFunction:
 
 
 # ---------------------------------------------------------------------------
-# grid-sampled functions
+# the input gate: every public entry point checks its points, directions
+# and boxes here
 
 
-def _finite_point(x) -> np.ndarray:
-    """x as a 1D float array; a point with a non-finite coordinate is refused."""
+def _point(x, n: int) -> np.ndarray:
+    """x as a float array of shape (n,) with finite coordinates."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
+    if x.shape != (n,):
+        raise ValueError(f"expected a point in R^{n}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"point {x.tolist()} must have finite coordinates")
     return x
 
 
-def _grid_points(lo, hi, resolution) -> np.ndarray:
-    """The (m, n) nodes of the box grid [lo, hi], row-major."""
-    if not len(lo) == len(hi) == len(resolution):
+def _direction(theta, n: int) -> np.ndarray:
+    """theta scaled to a unit vector of shape (n,); a zero or non-finite
+    direction is refused."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (n,):
+        raise ValueError(f"expected a direction in R^{n}, got shape {theta.shape}")
+    norm = float(np.linalg.norm(theta))
+    if not 0.0 < norm < math.inf:
+        raise ValueError(f"direction {theta.tolist()} must be nonzero and finite")
+    return theta / norm
+
+
+def _box_grid(box, resolution, n: int, min_nodes: int):
+    """The (m, n) nodes of the grid on box = (lo, hi), row-major, and its
+    largest cell width.
+
+    The corners must be finite points of R^n with hi > lo on every axis.
+    The resolution is a whole number of nodes, at least min_nodes, for
+    every axis or one per axis.  An axis with one node is one cell wide.
+    """
+    lo, hi = (np.atleast_1d(np.asarray(c, dtype=float)) for c in box)
+    if np.ndim(resolution) == 0:
+        resolution = (resolution,) * n
+    res = np.asarray(resolution, dtype=float)
+    if lo.shape != (n,) or hi.shape != (n,) or res.shape != (n,):
         raise ValueError(
-            f"grid box corners have {len(lo)} and {len(hi)} coordinates "
-            f"but the resolution has {len(resolution)} entries"
+            f"grid box corners have {lo.size} and {hi.size} coordinates and the "
+            f"resolution has {res.size} entries, expected {n} each"
         )
-    if not np.all(np.isfinite(lo)) or not np.all(np.isfinite(hi)):
-        raise ValueError(f"grid box corners {lo} and {hi} must be finite")
-    axes = [np.linspace(lo[i], hi[i], r) for i, r in enumerate(resolution)]
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(
+            f"grid box corners {lo.tolist()} and {hi.tolist()} must be finite"
+        )
+    if np.any(hi <= lo):
+        raise ValueError(
+            f"grid box upper corner {hi.tolist()} must exceed the lower "
+            f"{lo.tolist()} on every axis"
+        )
+    if not np.all(np.isfinite(res) & (res == np.round(res))):
+        raise ValueError(f"resolution must count whole nodes, got {resolution}")
+    counts = res.astype(int)
+    if np.any(counts < min_nodes):
+        plural = "s" if min_nodes > 1 else ""
+        raise ValueError(
+            f"need at least {min_nodes} grid point{plural} per axis, "
+            f"got resolution {tuple(counts.tolist())}"
+        )
+    axes = [np.linspace(lo[i], hi[i], c) for i, c in enumerate(counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    cell = float(np.max((hi - lo) / np.maximum(counts - 1, 1)))
+    return np.stack([m.ravel() for m in mesh], axis=-1), cell
+
+
+# ---------------------------------------------------------------------------
+# grid-sampled functions
 
 
 @dataclass(frozen=True)
@@ -170,10 +208,7 @@ class GridFunction:
     samples: np.ndarray  # flat, row-major
 
     def __post_init__(self):
-        lo = np.asarray(self.lo, dtype=float)
-        hi = np.asarray(self.hi, dtype=float)
-        if np.any(hi <= lo):
-            raise ValueError("degenerate box: need hi > lo on every axis")
+        _box_grid((self.lo, self.hi), self.resolution, len(self.resolution), 2)
         expected = int(np.prod(self.resolution))
         if self.samples.size != expected:
             raise ValueError(
@@ -225,11 +260,12 @@ class GridFunction:
 
     @classmethod
     def from_function(cls, f: DirectionalFunction, lo, hi, resolution):
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        resolution = tuple(int(r) for r in resolution)
-        vals = f.evaluate_many(_grid_points(lo, hi, resolution))
-        return cls(tuple(lo), tuple(hi), resolution, vals)
+        n = f.dimension
+        nodes, _ = _box_grid((lo, hi), resolution, n, 2)
+        resolution = tuple(int(r) for r in np.broadcast_to(resolution, n))
+        vals = f.evaluate_many(nodes)
+        # the first and last grid nodes are the box corners
+        return cls(tuple(nodes[0]), tuple(nodes[-1]), resolution, vals)
 
     # CSV format: header line "n,res...,lo...,hi..." then one sample per line.
     def to_csv(self, path):
@@ -346,16 +382,9 @@ def _sphere_rule(n: int, m: int):
 
 @lru_cache(maxsize=32)
 def _ball_directions(n: int, q: int, ang: int):
-    """Directions (m, n) of the ball rule, weights summing to the area."""
-    if n == 1:
-        return _sphere_rule(1, 2)
-    if n == 2:
-        phi = 2.0 * math.pi * (np.arange(ang) + 0.5) / ang
-        u = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-        return u, np.full(ang, 2.0 * math.pi / ang)
-    if n == 3:
-        return _sphere_rule(3, 2 * q * q)
-    raise ValueError(f"unsupported dimension {n} (1-3 only)")
+    """Directions (m, n) of the ball rule, weights summing to the area: the
+    sphere rule with 2, ang and 2 q^2 nodes in 1D, 2D and 3D."""
+    return _sphere_rule(n, {1: 2, 2: ang, 3: 2 * q * q}.get(n, 0))
 
 
 @lru_cache(maxsize=32)
@@ -387,10 +416,10 @@ def ball_average(
     A positive 1D radius is integrated adaptively, the 1D refinement rule
     (see ``ball_average_radii``); every other radius goes to that function.
     """
+    x = _point(x, f.dimension)
     if f.dimension == 1 and 0.0 < r < math.inf:
         from scipy.integrate import quad
 
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         val, _ = quad(
             lambda t: f.evaluator(np.array([t])),
             float(x[0]) - r,
@@ -433,7 +462,7 @@ def ball_average_radii(
     ends: the 1D radius search refines on the adaptive ``ball_average``,
     while in 2D and 3D the direction sum smooths kinks.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _point(x, f.dimension)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or not (
         np.all(np.isfinite(radii))
@@ -529,8 +558,8 @@ def sphere_average_derivative(
     of theta, normalized so that linear f returns exactly grad.theta
     (divergence-theorem calibration of the unspecified constant).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    x = _point(x, f.dimension)
+    theta = _direction(theta, f.dimension)
     if not 0.0 < r < math.inf:
         raise ValueError(f"radius must be finite and > 0, got {r}")
     dirs, w = quadrature.sphere_rule(f.dimension)

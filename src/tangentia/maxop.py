@@ -29,14 +29,16 @@ import numpy as np
 from .errors import MaximalBlowupError
 from .funcspace import (
     DirectionalFunction,
-    _grid_points,
+    _box_grid,
+    _direction,
+    _point,
     _profile_at,
     absolute,
     ball_average,
     ball_average_radii,
     sphere_average_derivative,
 )
-from .nonsmooth import _unit_direction, directional_derivative, tau
+from .nonsmooth import directional_derivative, tau
 from .semilinear import full_space
 
 __all__ = [
@@ -131,7 +133,7 @@ def maximal(
         raise ValueError("the maximal-operator pipeline requires continuous f")
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _point(x, f.dimension)
     absf = absolute(f)
     if r_max is None:
         r_max = _default_r_max(f, x)
@@ -243,8 +245,8 @@ def maximal_directional_derivative(
     function).  At lam = 0 the formula is only claimed where f is
     differentiable, which is checked up front.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = _unit_direction(theta)
+    x = _point(x, f.dimension)
+    unit = _direction(theta, f.dimension)
     absf = absolute(f)
     if lam == 0.0:
         t = tau(f, x, full_space(f.dimension), max(8, 2 * f.dimension))
@@ -257,12 +259,12 @@ def maximal_directional_derivative(
     contributions = []
     for r in rset.radii:
         if r == 0.0:
-            contributions.append(directional_derivative(absf, x, theta))
+            contributions.append(directional_derivative(absf, x, unit))
         elif math.isinf(r):
             contributions.append(0.0)
         else:
             contributions.append(
-                sphere_average_derivative(absf, x, r, theta)
+                sphere_average_derivative(absf, x, r, theta)  # scales theta itself
             )
     return max(contributions)
 
@@ -303,9 +305,7 @@ def check_translation_bound(
     |h| * c_hat * u_sup, c_hat = EMPIRICAL_CONSTANTS[f.dimension].  u_sup is
     the caller's bound on |u| over |a| <= r + |h|.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
-    D = np.atleast_1d(np.asarray(D, dtype=float))
+    x, h, D = (_point(v, f.dimension) for v in (x, h, D))
     c_hat = EMPIRICAL_CONSTANTS[f.dimension]
     lhs = abs(ball_average(f, x + h, r) - ball_average(f, x, r) - float(D @ h))
     nh = float(np.linalg.norm(h))
@@ -332,12 +332,7 @@ def maximal_field(
     threads: int = 1,
 ):
     """(points, values, radii sets) of the operator over a grid, row-major."""
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * f.dimension
-    if min(resolution) < 1:
-        raise ValueError("need at least 1 grid point per axis")
-    pts = _grid_points(lo, hi, resolution)
+    pts, _ = _box_grid(box, resolution, f.dimension, 1)
 
     def work(p):
         return maximal(f, p, lam, r_max)

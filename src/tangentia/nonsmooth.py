@@ -12,20 +12,18 @@ value is the smallest rung's residual (no extrapolation to 0).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import LadderDivergenceError
-from .funcspace import DirectionalFunction, _finite_point, _grid_points
+from .funcspace import DirectionalFunction, _box_grid, _direction, _point
 from .semilinear import (
     SemiLinearSubspace,
-    SemiLinearMap,
     full_space,
     halfspace,
     linear_subspace,
-    map_from_coefficients,
     sample_unit_vectors,
     semilinear,
 )
@@ -103,21 +101,12 @@ def minimax_fit(A: np.ndarray, y: np.ndarray):
 
 def difference_quotient(f: DirectionalFunction, x, h) -> float:
     """(f(x+h) - f(x)) / |h|."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    h = np.atleast_1d(np.asarray(h, dtype=float))
+    x = _point(x, f.dimension)
+    h = _point(h, f.dimension)
     nh = float(np.linalg.norm(h))
     if nh == 0.0:
         raise ValueError("h must be nonzero")
     return (f(x + h) - f(x)) / nh
-
-
-def _unit_direction(theta) -> np.ndarray:
-    """theta scaled to unit length; a zero or non-finite direction is refused."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    norm = float(np.linalg.norm(theta))
-    if not 0.0 < norm < math.inf:
-        raise ValueError(f"direction {theta.tolist()} must be nonzero and finite")
-    return theta / norm
 
 
 def _positive_tol(tol: float):
@@ -127,8 +116,8 @@ def _positive_tol(tol: float):
 
 def quotient_ladder(f: DirectionalFunction, x, theta, ladder=None) -> np.ndarray:
     """Difference quotients along theta at each ladder radius."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = _unit_direction(theta)
+    x = _point(x, f.dimension)
+    theta = _direction(theta, f.dimension)
     ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
     fx = f(x)
     pts = x[None, :] + ladder[:, None] * theta[None, :]
@@ -143,21 +132,20 @@ class DerivativeEstimate:
     quotients: Tuple[float, ...]
 
 
+# the last three extrapolated rungs must agree within this spread
+_SETTLE_SPREAD = 1e-2
+
+
 def directional_derivative_detail(
-    f: DirectionalFunction,
-    x,
-    theta,
-    ladder=None,
-    tolerance: float = 1e-3,
+    f: DirectionalFunction, x, theta
 ) -> DerivativeEstimate:
-    """One-sided directional derivative with the rung trace attached."""
-    x = _finite_point(x)
-    theta = _unit_direction(theta)
-    ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
-    if len(ladder) < 3 or np.any(np.diff(ladder) >= 0) or np.any(ladder <= 0):
-        raise ValueError("ladder must be a decreasing positive sequence, >= 3 rungs")
-    q = quotient_ladder(f, x, theta, ladder)
-    # one-sided quotients carry an O(r) error term; eliminate it pairwise
+    """One-sided directional derivative with the rung trace attached, from
+    the quotients on DEFAULT_LADDER."""
+    x = _point(x, f.dimension)
+    theta = _direction(theta, f.dimension)
+    q = quotient_ladder(f, x, theta)
+    # one-sided quotients carry an O(r) error term; the rungs halve, so
+    # eliminate it pairwise
     extrap = 2.0 * q[1:] - q[:-1]
     numeric = float(extrap[-1])
     if f.derivative is not None:
@@ -165,7 +153,7 @@ def directional_derivative_detail(
             float(f.derivative(x, theta)), numeric, True, tuple(q)
         )
     tail = extrap[-3:]
-    if float(np.max(tail) - np.min(tail)) > 10.0 * tolerance:
+    if float(np.max(tail) - np.min(tail)) > _SETTLE_SPREAD:
         raise LadderDivergenceError(
             f"directional quotient ladder did not settle at {tuple(x)} "
             f"(tail spread {np.max(tail) - np.min(tail):.3e})",
@@ -174,10 +162,8 @@ def directional_derivative_detail(
     return DerivativeEstimate(numeric, numeric, False, tuple(q))
 
 
-def directional_derivative(
-    f: DirectionalFunction, x, theta, ladder=None, tolerance: float = 1e-3
-) -> float:
-    return directional_derivative_detail(f, x, theta, ladder, tolerance).value
+def directional_derivative(f: DirectionalFunction, x, theta) -> float:
+    return directional_derivative_detail(f, x, theta).value
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +176,14 @@ class TauEstimate:
 
     ``ladder`` holds (radius, minimax residual) per rung, largest radius
     first; ``value`` is the smallest rung's residual (reported as-is, not
-    forced monotone).
+    forced monotone).  ``coefficients`` is the smallest rung's minimizing
+    map as D in R^n, with D.w = L(w) on W and D zero off span(W).
     """
 
     value: float
-    minimizing_map: SemiLinearMap
+    coefficients: np.ndarray
     ladder: Tuple[Tuple[float, float], ...]
     direction_count: int
-
-    @property
-    def subspace(self) -> SemiLinearSubspace:
-        return self.minimizing_map.carrier
 
 
 def tau(
@@ -212,7 +195,11 @@ def tau(
     seed: int = 0,
 ) -> TauEstimate:
     """Estimate the non-differentiability measure of f at x over W."""
-    x = _finite_point(x)
+    x = _point(x, f.dimension)
+    if W.dimension != f.dimension:
+        raise ValueError(
+            f"expected a subspace W of R^{f.dimension}, got one of R^{W.dimension}"
+        )
     if W.is_trivial():
         raise ValueError("W must be nontrivial")
     if n_dir < 2 * f.dimension:
@@ -228,10 +215,9 @@ def tau(
         q = (f.evaluate_many(x[None, :] + r * dirs) - fx) / r
         coeffs, res = minimax_fit(A, q)
         rungs.append((float(r), float(res)))
-    D = S @ coeffs
     return TauEstimate(
         value=rungs[-1][1],
-        minimizing_map=map_from_coefficients(W, D),
+        coefficients=S @ coeffs,
         ladder=tuple(rungs),
         direction_count=n_dir,
     )
@@ -274,7 +260,7 @@ def kink_normals(f: DirectionalFunction, x, seed: int = 0) -> list:
     _CLUSTER_TOL apart indicate smooth pieces and their normalized
     differences point across the kink.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _point(x, f.dimension)
     n = f.dimension
     probes = sample_unit_vectors(full_space(n), _N_PROBES, seed)
     eye = np.eye(n)
@@ -366,7 +352,7 @@ def gamma(
     _positive_tol(tol)
     if budget is None:
         budget = GammaBudget()
-    x = _finite_point(x)
+    x = _point(x, f.dimension)
     n = f.dimension
     lad = budget.ladder
 
@@ -442,15 +428,8 @@ def singular_scan(
     degree, from a small fixed gamma budget on the two finest rungs.
     """
     _positive_tol(tol)
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
     n = f.dimension
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * n
-    resolution = tuple(int(r) for r in resolution)
-    if min(resolution) < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    pts = _grid_points(lo, hi, resolution)
-    cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
+    pts, cell = _box_grid(box, resolution, n, 2)
     ladder = np.array([2.0, 1.0, 0.5]) * cell
 
     n_dir = 2 if n == 1 else (16 if n == 2 else 48)

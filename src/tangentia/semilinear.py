@@ -1,6 +1,5 @@
-"""Semi-linear subspaces (linear part + up to two rays), the restricted
-Hausdorff metric on their unit-ball portions, and linear maps with
-extension to the ambient space.
+"""Semi-linear subspaces (linear part + up to two rays) and the restricted
+Hausdorff metric on their unit-ball portions.
 
 A value W = V + cone(b_1, b_2) is kept in canonical form: V as an
 orthonormal basis, each ray a unit vector with nonzero component
@@ -12,27 +11,25 @@ tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConsistencyError
-
 __all__ = [
     "SemiLinearSubspace",
-    "SemiLinearMap",
     "semilinear",
     "linear_subspace",
     "full_space",
     "ray_space",
     "halfspace",
     "hc_distance",
-    "extend_linear_map",
     "sample_unit_vectors",
 ]
 
 _ANGULAR_TOL = 1e-10
+_MEMBER_TOL = 1e-9  # membership residual, relative to 1 + |w|
+_HC_SAMPLES = 720  # unit directions per set of the Hausdorff distance
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 
@@ -86,15 +83,15 @@ class SemiLinearSubspace:
             return np.zeros((self.dimension, 0))
         return np.stack(cols, axis=1)
 
-    def contains(self, w, tol: float = 1e-9) -> "bool | np.ndarray":
+    def contains(self, w) -> "bool | np.ndarray":
         """Membership: w = v + sum lambda_i b_i with v in V, lambda_i >= 0.
 
         A vector (n,) gives a bool; rows (m, n) give a bool array (m,).
-        The residual |w - proj_W(w)| is compared with tol * (1 + |w|).
+        The residual |w - proj_W(w)| is compared with _MEMBER_TOL (1 + |w|).
         """
         w = np.asarray(w, dtype=float)
         resid = np.linalg.norm(w - self.cone_project(w), axis=-1)
-        inside = resid <= tol * (1.0 + np.linalg.norm(w, axis=-1))
+        inside = resid <= _MEMBER_TOL * (1.0 + np.linalg.norm(w, axis=-1))
         return bool(inside) if w.ndim == 1 else inside
 
     def cone_project(self, w) -> np.ndarray:
@@ -324,92 +321,27 @@ def sample_unit_vectors(W: SemiLinearSubspace, N: int, seed: int = 0) -> np.ndar
 # restricted Hausdorff metric
 
 
-def hc_distance(W1: SemiLinearSubspace, W2: SemiLinearSubspace, N: int = 720) -> float:
+def hc_distance(W1: SemiLinearSubspace, W2: SemiLinearSubspace) -> float:
     """Hausdorff distance between W1 and W2 intersected with the unit ball.
 
-    Directed distances are taken over N quasi-uniform unit directions of
-    each set (the supremum over the ball portion is attained on the unit
-    sphere because projection onto a convex cone is positively
+    Directed distances are taken over _HC_SAMPLES quasi-uniform unit
+    directions of each set (the supremum over the ball portion is attained
+    on the unit sphere because projection onto a convex cone is positively
     homogeneous); nearest points are exact cone projections clipped to
-    the ball.  Error is O(angular spacing) = O(1/N per circle).
+    the ball.  Error is O(angular spacing) = O(1/_HC_SAMPLES per circle).
     """
     if W1.dimension != W2.dimension:
         raise ValueError(
             f"ambient dimension mismatch: {W1.dimension} vs {W2.dimension}"
         )
-    if N < 100:
-        raise ValueError("need N >= 100 samples")
 
     def directed(A: SemiLinearSubspace, B: SemiLinearSubspace) -> float:
         if A.is_trivial():
             return 0.0  # the origin lies in every closed cone
-        pts = _surface_directions(A, N, 0.0)
+        pts = _surface_directions(A, _HC_SAMPLES, 0.0)
         q = B.cone_project(pts)
         q /= np.maximum(np.linalg.norm(q, axis=1), 1.0)[:, None]  # clip to the ball
         return float(np.max(np.linalg.norm(pts - q, axis=1)))
 
     return max(directed(W1, W2), directed(W2, W1))
 
-
-# ---------------------------------------------------------------------------
-# linear maps on W and their extension
-
-
-@dataclass(frozen=True)
-class SemiLinearMap:
-    """A map on W, determined by values on V's basis vectors and the rays.
-
-    ``coefficients`` (filled by :func:`extend_linear_map`) is D in R^n
-    with D.w = L(w) on W and D zero on span(W)'s complement.
-    """
-
-    carrier: SemiLinearSubspace
-    basis_values: Tuple[float, ...]
-    ray_values: Tuple[float, ...] = ()
-    coefficients: Optional[np.ndarray] = None
-
-    def generator_matrix(self) -> np.ndarray:
-        cols = [self.carrier.basis[:, j] for j in range(self.carrier.linear_dim)]
-        cols += list(self.carrier.rays)
-        return np.stack(cols, axis=1) if cols else np.zeros((self.carrier.dimension, 0))
-
-    def generator_values(self) -> np.ndarray:
-        return np.array(list(self.basis_values) + list(self.ray_values))
-
-    def __call__(self, w) -> float:
-        if self.coefficients is None:
-            raise ValueError("extend_linear_map must run before evaluation")
-        return float(self.coefficients @ np.asarray(w, dtype=float))
-
-
-def extend_linear_map(L: SemiLinearMap, tol: float = 1e-8) -> SemiLinearMap:
-    """Fill the extended coefficient vector D with D.g = L(g) per generator.
-
-    D is the minimum-norm solution, hence zero on the orthogonal
-    complement of span(W); for consistent generator values this keeps
-    the Lipschitz constant of the extension equal to that of L.
-    Inconsistent values (no single linear map fits) raise.
-    """
-    G = L.generator_matrix()
-    vals = L.generator_values()
-    if G.shape[1] != vals.shape[0]:
-        raise ValueError("one value per generator required")
-    if G.shape[1] == 0:
-        return replace(L, coefficients=np.zeros(L.carrier.dimension))
-    D, *_ = np.linalg.lstsq(G.T, vals, rcond=None)
-    resid = G.T @ D - vals
-    scale = 1.0 + float(np.max(np.abs(vals)))
-    if float(np.max(np.abs(resid))) > tol * scale:
-        raise ConsistencyError(
-            f"generator values are not linearly consistent "
-            f"(max residual {np.max(np.abs(resid)):.3e})"
-        )
-    return replace(L, coefficients=D)
-
-
-def map_from_coefficients(W: SemiLinearSubspace, D) -> SemiLinearMap:
-    """The restriction of w -> D.w to W, already extended."""
-    D = np.asarray(D, dtype=float)
-    bvals = tuple(float(D @ W.basis[:, j]) for j in range(W.linear_dim))
-    rvals = tuple(float(D @ r) for r in W.rays)
-    return SemiLinearMap(W, bvals, rvals, coefficients=D)

@@ -10,7 +10,13 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .funcspace import DirectionalFunction, _check_finite, _finite_point, _grid_points
+from .funcspace import (
+    DirectionalFunction,
+    _box_grid,
+    _check_finite,
+    _direction,
+    _point,
+)
 
 __all__ = [
     "ClosedSetModel",
@@ -31,7 +37,6 @@ class ClosedSetModel:
     kind: str  # "points" | "polygon"
     points: Optional[np.ndarray] = None  # (k, n) for points
     vertices: Optional[np.ndarray] = None  # (k, 2), the last joins the first
-    query_tol: float = 1e-9
 
     @property
     def dimension(self) -> int:
@@ -44,6 +49,8 @@ class ClosedSetModel:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.size == 0:
             raise ValueError("the set must be nonempty")
+        for p in pts:
+            _point(p, pts.shape[1])
         return cls("points", points=pts)
 
     @classmethod
@@ -51,6 +58,8 @@ class ClosedSetModel:
         verts = np.atleast_2d(np.asarray(vertices, dtype=float))
         if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("polygon needs >= 3 2D vertices (closed loop)")
+        for v in verts:
+            _point(v, 2)
         edges = np.roll(verts, -1, axis=0) - verts
         if np.any(np.sum(edges * edges, axis=1) == 0.0):
             raise ValueError("polygon has a zero-length edge (repeated vertex)")
@@ -63,6 +72,8 @@ class ClosedSetModel:
 
 
 _BLOCK = 1024  # query points per candidate evaluation, bounds memory
+_ON_SET_TOL = 1e-9  # a query point this close to the set lies on it
+_NEAREST_REL_TOL = 1e-6  # nearest points within this relative distance gap
 
 
 def _blocks(X: np.ndarray):
@@ -99,29 +110,32 @@ def _close_points(cands, d, dmin: float, rel_tol: float) -> List[np.ndarray]:
     return out
 
 
-def nearest_set(
-    A: ClosedSetModel, x, rel_tol: float = 1e-6
-) -> Tuple[float, List[np.ndarray]]:
-    """Distance to A and every nearest point within relative tolerance.
+def nearest_set(A: ClosedSetModel, x) -> Tuple[float, List[np.ndarray]]:
+    """Distance to A and every nearest point within _NEAREST_REL_TOL of it.
 
     Exact enumeration over points and polygon edges.  x must lie off the
     set.
     """
-    x = _finite_point(x)
+    x = _point(x, A.dimension)
     cands, d = _candidates(A, x[None, :])
     dmin = float(np.min(d))
-    if dmin <= A.query_tol:
+    if dmin <= _ON_SET_TOL:
         raise ValueError(
             f"point {tuple(x)} lies on the set (distance {dmin:.3e}); "
             "the distance function is defined off the set only"
         )
-    return dmin, _close_points(cands[0], d[0], dmin, rel_tol)
+    return dmin, _close_points(cands[0], d[0], dmin, _NEAREST_REL_TOL)
 
 
 def distance_directional_derivative(A: ClosedSetModel, x, theta) -> float:
-    """min over nearest points y of theta . (x - y)/|x - y|."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    """min over nearest points y of theta . (x - y)/|x - y|, theta taken
+    as a unit vector."""
+    n = A.dimension
+    return _distance_derivative(A, _point(x, n), _direction(theta, n))
+
+
+def _distance_derivative(A: ClosedSetModel, x, theta) -> float:
+    """The derivative formula for a unit theta, the distance oracle."""
     _, nearest = nearest_set(A, x)
     vals = []
     for y in nearest:
@@ -138,16 +152,13 @@ def distance_function(A: ClosedSetModel) -> DirectionalFunction:
             [np.min(_candidates(A, b)[1], axis=1) for b in _blocks(pts)]
         )
 
-    def deriv(x, theta):
-        return distance_directional_derivative(A, x, theta)
-
     pts = A.candidate_points()
     lo = pts.min(axis=0) - 1.0
     hi = pts.max(axis=0) + 1.0
     return DirectionalFunction(
         evaluator=lambda x: float(np.min(_candidates(A, x[None, :])[1])),
         dimension=A.dimension,
-        derivative=deriv,
+        derivative=lambda x, theta: _distance_derivative(A, x, theta),
         lipschitz=1.0,
         batch_evaluator=batch,
         support=(lo, hi),
@@ -178,13 +189,7 @@ def medial_scan(A: ClosedSetModel, box, resolution) -> List[MedialPoint]:
     closer than _ANGULAR_DEDUP radians apart, as seen from x, count once.
     Multiplicity >= 2 constitutes the detected medial axis.
     """
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in box)
-    if np.isscalar(resolution):
-        resolution = (int(resolution),) * A.dimension
-    if min(resolution) < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    pts = _grid_points(lo, hi, resolution)
-    cell = float(np.max((hi - lo) / (np.array(resolution) - 1)))
+    pts, cell = _box_grid(box, resolution, A.dimension, 2)
     tie = _TIE_FACTOR * cell
 
     out = []
@@ -193,7 +198,7 @@ def medial_scan(A: ClosedSetModel, box, resolution) -> List[MedialPoint]:
         cands = np.broadcast_to(cands, dist.shape + cands.shape[-1:])
         for x, c, d, dmin in zip(block, cands, dist, np.min(dist, axis=1)):
             dmin = float(dmin)
-            if dmin <= A.query_tol:
+            if dmin <= _ON_SET_TOL:
                 continue  # on the set
             dirs = []
             for y in _close_points(c, d, dmin, tie / dmin):
@@ -223,9 +228,9 @@ def medial_to_csv(points: Sequence[MedialPoint], path, dimension: int):
 _SPEC_NODES = 257  # y-grid nodes of the infconv spec, in total in nD
 
 
-def _envelope_min(obj, ys, vals, resolution, lo, hi, tol: float = 1e-9):
+def _envelope_min(obj, ys, vals, shape, lo, hi, cell, tol: float = 1e-9):
     """min of obj over the y-box [lo, hi], given its values vals on the
-    row-major box grid ys (m, n) with `resolution` nodes per axis.
+    row-major box grid ys (m, n) of the given shape and largest cell width.
 
     Each grid-local minimum (a node no higher than its axis neighbours)
     within a band of the best node value seeds one local descent: Brent's
@@ -241,10 +246,8 @@ def _envelope_min(obj, ys, vals, resolution, lo, hi, tol: float = 1e-9):
     """
     from scipy.optimize import fminbound, minimize
 
-    if (hi <= lo).any():
-        raise ValueError(f"y-box upper corner {hi} must exceed the lower {lo}")
     n = ys.shape[1]
-    V = vals.reshape(resolution)
+    V = vals.reshape(shape)
     local = np.ones(V.shape, dtype=bool)
     band = 10.0 * tol
     for ax in range(n):
@@ -281,7 +284,7 @@ def _envelope_min(obj, ys, vals, resolution, lo, hi, tol: float = 1e-9):
             np.linalg.norm(y - m) > 1e-6 * (1.0 + np.linalg.norm(y)) for m in minimizers
         ):
             minimizers.append(y)
-    edge = 2.0 * ((hi - lo) / (np.array(resolution) - 1)).max()
+    edge = 2.0 * cell
     boundary = any(min(*(m - lo), *(hi - m)) < edge for m in minimizers)
     return best, minimizers, boundary
 
@@ -301,16 +304,16 @@ def inf_convolution(
     on the box boundary means the box was too small, which is an error
     in strict mode.
     """
-    x = _finite_point(x)
-    if y_resolution < 2:
-        raise ValueError("need at least 2 grid points per axis")
-    lo, hi = (np.atleast_1d(np.asarray(b, dtype=float)) for b in y_box)
-    resolution = (y_resolution,) * u.dimension
-    ys = _grid_points(lo, hi, resolution)
+    n = u.dimension
+    x = _point(x, n)
+    ys, cell = _box_grid(y_box, y_resolution, n, 2)
     vals = u.evaluate_many(ys) + np.array([coupling(x, y) for y in ys])
     _check_finite(vals, ys)
     obj = lambda y: u(y) + float(coupling(x, y))  # noqa: E731
-    best, minimizers, boundary = _envelope_min(obj, ys, vals, resolution, lo, hi, tol)
+    # the first and last grid nodes are the box corners
+    best, minimizers, boundary = _envelope_min(
+        obj, ys, vals, (int(y_resolution),) * n, ys[0], ys[-1], cell, tol
+    )
     if strict and boundary:
         raise ValueError(
             "infimal convolution minimum attained at the y-box boundary; "
@@ -329,9 +332,9 @@ def make_infconv(u: DirectionalFunction, t: float) -> DirectionalFunction:
         raise ValueError(f"infconv parameter must be > 0, got {t}")
     n = u.dimension
     reach = (10.0 if u.lipschitz is None else u.lipschitz) * t + 1.0
-    resolution = (max(2, round(_SPEC_NODES ** (1.0 / n))),) * n
+    shape = (max(2, round(_SPEC_NODES ** (1.0 / n))),) * n
     # the grid moves with x, so its coupling values are fixed
-    offsets = _grid_points(np.full(n, -reach), np.full(n, reach), resolution)
+    offsets, cell = _box_grid((np.full(n, -reach), np.full(n, reach)), shape, n, 2)
     coupling = np.einsum("ij,ij->i", offsets, offsets) / (2.0 * t)
 
     def ev(x):
@@ -341,7 +344,7 @@ def make_infconv(u: DirectionalFunction, t: float) -> DirectionalFunction:
 
         ys = x + offsets
         vals = u.evaluate_many(ys) + coupling
-        return _envelope_min(obj, ys, vals, resolution, x - reach, x + reach)[0]
+        return _envelope_min(obj, ys, vals, shape, x - reach, x + reach, cell)[0]
 
     return DirectionalFunction(
         evaluator=ev,

@@ -10,12 +10,13 @@ tangential pieces.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
+
+from .funcspace import _direction, _point
 
 __all__ = [
     "ShellStat",
@@ -25,7 +26,6 @@ __all__ = [
     "sigma_decompose",
     "SigmaPiece",
     "load_point_cloud",
-    "reports_to_json",
 ]
 
 
@@ -117,7 +117,7 @@ def fit_tangent(
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     _check_k(k, points.shape[1])
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = _point(x, points.shape[1])
     h = points - x[None, :]
     norms = np.linalg.norm(h, axis=1)
     keep = norms > max(1e-14, _RESOLUTION_FLOOR * _nn_spacing(points))
@@ -148,6 +148,7 @@ def fit_tangent(
 # shells finer than this many median nearest-neighbour spacings are
 # sub-resolution, and a piece thinner than it is flat at sampling resolution
 _RESOLUTION_FLOOR = 4.0
+_SHELLS = 8  # dyadic shells of the ratio test, at most
 
 
 def _nn_spacing(points: np.ndarray) -> float:
@@ -160,30 +161,26 @@ def _nn_spacing(points: np.ndarray) -> float:
     return float(np.median(d[:, 1]))
 
 
-def is_k_tangential(
-    points,
-    x,
-    V,
-    eta: float = 0.2,
-    shells: int = 8,
-) -> TangencyReport:
+def is_k_tangential(points, x, V, eta: float = 0.2) -> TangencyReport:
     """Dyadic-shell ratio test of k-tangentiality at x along V.
 
-    The analysis radius is the largest displacement from x.  Shells
-    whose outer radius falls below _RESOLUTION_FLOOR times the median
-    nearest-neighbour spacing are reported but excluded from the
-    verdict: below the sampling scale the ratio statistic measures
-    discretization, not geometry.
+    The analysis radius is the largest displacement from x, split into at
+    most _SHELLS dyadic shells.  Shells whose outer radius falls below
+    _RESOLUTION_FLOOR times the median nearest-neighbour spacing are
+    reported but excluded from the verdict: below the sampling scale the
+    ratio statistic measures discretization, not geometry.  V holds one
+    nonzero finite vector of R^n per column (or per row).
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    if shells < 4:
-        raise ValueError("need at least 4 shells")
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    n = points.shape[1]
+    x = _point(x, n)
     V = np.atleast_2d(np.asarray(V, dtype=float))
-    if V.shape[0] != x.shape[0]:
+    if V.shape[0] != n:
         V = V.T
+    for v in V.T:
+        _direction(v, n)
     # re-orthonormalize defensively
     V, _ = np.linalg.qr(V)
 
@@ -204,10 +201,10 @@ def is_k_tangential(
 
     # dyadic bins anchored at the floor so no usable scale range is
     # wasted; the top bin absorbs everything out to the analysis radius
-    lo_min = max(min_scale, R * 2.0 ** (-shells))
+    lo_min = max(min_scale, R * 2.0 ** (-_SHELLS))
     nb = 0
     if R > lo_min:
-        nb = min(shells, int(math.floor(math.log2(R / lo_min))))
+        nb = min(_SHELLS, int(math.floor(math.log2(R / lo_min))))
     stats: List[ShellStat] = []
     for j in range(nb):  # coarse -> fine
         hi = R if j == 0 else lo_min * 2.0 ** (nb - j)
@@ -469,13 +466,3 @@ def load_point_cloud(path) -> np.ndarray:
     return np.atleast_2d(
         np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     )
-
-
-def reports_to_json(reports: Sequence[TangencyReport], path=None) -> str:
-    payload = json.dumps(
-        [r.to_json_dict() for r in reports], indent=2, sort_keys=True
-    )
-    if path is not None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    return payload

@@ -487,7 +487,7 @@ def test_grid_non_finite_box_rejected(lo):
     A = specials.ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
     coupling = lambda x, y: float(np.sum((x - y) ** 2))  # noqa: E731
     calls = [
-        lambda: funcspace._grid_points(*box, (3, 3)),
+        lambda: funcspace._box_grid(box, (3, 3), 2, 1),
         lambda: GridFunction.from_function(f, *box, (3, 3)),
         lambda: nonsmooth.singular_scan(f, box, 5),
         lambda: specials.medial_scan(A, box, 5),
@@ -533,3 +533,95 @@ def test_evaluate_many_matches_scalar():
     batch = f.evaluate_many(pts)
     scalar = np.array([f(p) for p in pts])
     assert np.max(np.abs(batch - scalar)) < 1e-14
+
+
+# ---------------------------------------------------------------------------
+# the input gate: one row per defect an entry point showed on a bad point,
+# direction or box
+
+
+def _gate_rows():
+    from tangentia import maxop, nonsmooth, specials, tangency
+    from tangentia.semilinear import full_space
+
+    tent = parse_function_spec("tent")
+    gauss2 = make_gauss(0.5, 2)
+    pair = specials.ClosedSetModel.from_points([[0.0, 0.0], [1.0, 0.0]])
+    line = np.stack([np.linspace(-1.0, 1.0, 80), np.zeros(80)], axis=1)
+    e1 = np.array([[1.0], [0.0]])
+    nan = math.nan
+    # a string is the message of the expected ValueError, a number the value
+    return [
+        # returned the average at (0.1, 0.1)
+        ("ball-average-short-point", lambda: ball_average(gauss2, [0.1], 1.0),
+         r"expected a point in R\^2"),
+        # scipy's IntegrationWarning, then a NumericDomainError
+        ("ball-average-nan", lambda: ball_average(tent, [nan], 1.0), "finite"),
+        # returned 0.0
+        ("call-nan", lambda: tent([nan]), "finite"),
+        ("difference-quotient-nan",
+         lambda: nonsmooth.difference_quotient(tent, [nan], [1.0]), "finite"),
+        # returned NaNs
+        ("quotient-ladder-nan",
+         lambda: nonsmooth.quotient_ladder(tent, [nan], [1.0]), "finite"),
+        # returned no normals
+        ("kink-normals-nan", lambda: nonsmooth.kink_normals(gauss2, [nan, 0.0]),
+         "finite"),
+        # the error blamed r_max
+        ("maximal-nan", lambda: maxop.maximal(tent, [nan]), "point.*finite"),
+        # numpy broadcast and matmul messages, or a wrong number
+        ("maximal-long-point", lambda: maxop.maximal(gauss2, [0.0, 0.0, 0.0]),
+         r"expected a point in R\^2"),
+        ("tau-W-in-R3", lambda: nonsmooth.tau(gauss2, [0.0, 0.0], full_space(3)),
+         r"subspace W of R\^2"),
+        ("dirderiv-short-theta",
+         lambda: nonsmooth.directional_derivative(gauss2, [0.0, 0.0], [1.0]),
+         r"expected a direction in R\^2"),
+        # scanned a reversed box and found no medial point
+        ("medial-reversed-box",
+         lambda: specials.medial_scan(pair, ([1.0, 1.0], [-1.0, -1.0]), 33),
+         "must exceed"),
+        # a zero-width box raised a RuntimeWarning
+        ("singular-scan-empty-box",
+         lambda: nonsmooth.singular_scan(tent, ([0.0], [0.0]), 5), "must exceed"),
+        # silently used 2 nodes
+        ("maximal-field-fractional-resolution",
+         lambda: maxop.maximal_field(tent, ([-1.0], [1.0]), 2.7), "resolution"),
+        # V = 0 read "tangential", a nan base "inconclusive"
+        ("tangency-zero-V",
+         lambda: tangency.is_k_tangential(line, [0.0, 0.0], np.zeros((2, 1))),
+         "nonzero"),
+        ("tangency-nan-base",
+         lambda: tangency.is_k_tangential(line, [nan, 0.0], e1), "finite"),
+        # distances to a set with a nan point read nan
+        ("closed-set-nan-point",
+         lambda: specials.ClosedSetModel.from_points([[nan, 0.0], [1.0, 0.0]]),
+         "finite"),
+        ("closed-polygon-nan-vertex",
+         lambda: specials.ClosedSetModel.from_polygon([[0, 0], [1, nan], [0, 1]]),
+         "finite"),
+        # returned twice the unit-direction value, and 0.0
+        ("distance-derivative-long-theta",
+         lambda: specials.distance_directional_derivative(pair, [-0.5, 0], [2, 0]),
+         -1.0),
+        ("distance-derivative-zero-theta",
+         lambda: specials.distance_directional_derivative(pair, [-0.5, 0], [0, 0]),
+         "nonzero"),
+    ]
+
+
+GATE_ROWS = _gate_rows()
+
+
+@pytest.mark.parametrize(
+    "call, expected", [r[1:] for r in GATE_ROWS], ids=[r[0] for r in GATE_ROWS]
+)
+def test_input_gate(call, expected, capfd):
+    # pytest turns RuntimeWarning and IntegrationWarning into errors; capfd
+    # also sees what LAPACK writes to the C-level stderr
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            call()
+    else:
+        assert call() == expected
+    assert capfd.readouterr().err == ""

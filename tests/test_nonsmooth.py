@@ -328,6 +328,18 @@ def test_tau_trivial_subspace_rejected():
         tau(abs1d(), [0.0], semilinear(1))
 
 
+
+def test_tau_coefficients_are_the_fitted_map():
+    # on a linear f the fit is exact: D matches the gradient on span(W)
+    # and is zero off it
+    g = np.array([1.5, -0.5])
+    f = DirectionalFunction(evaluator=lambda x: float(g @ x), dimension=2)
+    e1, e2 = np.eye(2)
+    line = tau(f, [0.3, 0.1], linear_subspace(2, [e1]))
+    assert np.allclose(line.coefficients, [1.5, 0.0], atol=1e-12)
+    half = tau(f, [0.3, 0.1], halfspace(linear_subspace(2, [e2]), e1))
+    assert np.allclose(half.coefficients, g, atol=1e-12)
+
 @pytest.mark.parametrize("x", [[math.nan, 0.0], [0.0, math.inf]])
 def test_non_finite_point_rejected(x):
     f = abs_x1_2d()

@@ -6,11 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls
 
-from tangentia.errors import ConsistencyError
 from tangentia.semilinear import (
-    SemiLinearMap,
     equal,
-    extend_linear_map,
     full_space,
     halfspace,
     hc_distance,
@@ -290,74 +287,3 @@ def test_hc_dimension_mismatch():
     with pytest.raises(ValueError):
         hc_distance(full_space(2), full_space(3))
 
-
-# ---------------------------------------------------------------------------
-# linear maps and extension
-
-
-def test_extend_full_space_identity():
-    W = full_space(2)
-    L = SemiLinearMap(W, basis_values=(3.0, -1.0))
-    D = extend_linear_map(L).coefficients
-    # basis columns of full_space are e1, e2 (canonical orthobasis)
-    got = np.array([L.generator_matrix().T @ D]).ravel()
-    assert np.allclose(got, [3.0, -1.0], atol=1e-12)
-
-
-def test_extend_zero_on_complement():
-    W = linear_subspace(2, [e1])
-    L = SemiLinearMap(W, basis_values=(3.0,))
-    D = extend_linear_map(L).coefficients
-    assert np.allclose(D, [3.0, 0.0], atol=1e-12)
-
-
-def test_extend_halfplane_example():
-    # W = span(e2) + <e1>+, L(e2) = 2, L(e1) = 1 -> D = (1, 2)
-    W = halfspace(linear_subspace(2, [e2]), e1)
-    L = SemiLinearMap(W, basis_values=(2.0,), ray_values=(1.0,))
-    ext = extend_linear_map(L)
-    assert np.allclose(ext.coefficients, [1.0, 2.0], atol=1e-10)
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        w = rng.standard_normal() * e2 + abs(rng.standard_normal()) * e1
-        assert ext(w) == pytest.approx(w[0] * 1.0 + w[1] * 2.0, abs=1e-10)
-
-
-def test_extension_reproduces_generator_values():
-    rng = np.random.default_rng(2)
-    for _ in range(20):
-        W = semilinear(3, [rng.standard_normal(3)], [rng.standard_normal(3)])
-        vals = rng.standard_normal(W.linear_dim + len(W.rays))
-        L = SemiLinearMap(
-            W, tuple(vals[: W.linear_dim]), tuple(vals[W.linear_dim :])
-        )
-        ext = extend_linear_map(L)
-        G = L.generator_matrix()
-        back = G.T @ ext.coefficients
-        assert np.max(np.abs(back - vals)) < 1e-10
-
-
-def test_extension_linearity_on_sampled_members():
-    W = halfspace(linear_subspace(3, [e := np.array([0.0, 0.0, 1.0])]), np.array([1.0, 1.0, 0.0]))
-    L = extend_linear_map(SemiLinearMap(W, (0.5,), (2.0,)))
-    rng = np.random.default_rng(3)
-    dirs = sample_unit_vectors(W, 16, seed=0)
-    for _ in range(50):
-        w1 = dirs[rng.integers(len(dirs))]
-        w2 = dirs[rng.integers(len(dirs))]
-        l1, l2 = rng.uniform(0, 2, size=2)
-        lhs = L(l1 * w1 + l2 * w2)
-        rhs = l1 * L(w1) + l2 * L(w2)
-        assert abs(lhs - rhs) < 1e-9 * (1.0 + np.linalg.norm(w1) + np.linalg.norm(w2))
-
-
-def test_inconsistent_generator_values_raise():
-    # two parallel generators demanding different values cannot come from a
-    # single linear D; build the raw form directly (canonicalization would
-    # dedup the rays before a consistency check could see them)
-    from tangentia.semilinear import SemiLinearSubspace
-
-    W = SemiLinearSubspace(2, np.zeros((2, 0)), (e1, e1.copy()))
-    bad = SemiLinearMap(W, (), (1.0, 2.0))
-    with pytest.raises(ConsistencyError):
-        extend_linear_map(bad)

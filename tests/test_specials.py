@@ -218,7 +218,7 @@ def test_medial_multiplicity_vs_gamma_and_tau():
     assert nonsmooth.gamma(g, [0.5, 0.2]).degree == 2
     # a diagonal point (strict tie between bottom and left edge)
     x = np.array([0.3, 0.3])
-    _, near = nearest_set(A, x, rel_tol=1e-6)
+    _, near = nearest_set(A, x)
     assert len(near) >= 2
     dirs = [(x - y) / np.linalg.norm(x - y) for y in near]
     gap = min(
