@@ -123,8 +123,8 @@ def absolute(f: DirectionalFunction) -> DirectionalFunction:
 
 
 # ---------------------------------------------------------------------------
-# the input gate: every public entry point checks its points, directions
-# and boxes here
+# the input gate: every public entry point checks its points, point
+# clouds, directions and boxes here
 
 
 def _point(x, n: int) -> np.ndarray:
@@ -135,6 +135,22 @@ def _point(x, n: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"point {x.tolist()} must have finite coordinates")
     return x
+
+
+def _cloud(points) -> np.ndarray:
+    """points as a nonempty float array of shape (m, n), one point per
+    row, with finite coordinates."""
+    P = np.asarray(points, dtype=float)
+    if P.ndim != 2 or P.size == 0:
+        raise ValueError(
+            f"expected a nonempty (m, n) array of points, got shape {P.shape}"
+        )
+    bad = np.flatnonzero(~np.all(np.isfinite(P), axis=1))
+    if bad.size:
+        raise ValueError(
+            f"point {P[bad[0]].tolist()} (row {bad[0]}) must have finite coordinates"
+        )
+    return P
 
 
 def _direction(theta, n: int) -> np.ndarray:

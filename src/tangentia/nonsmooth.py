@@ -229,7 +229,11 @@ def tau(
 
 @dataclass(frozen=True)
 class GammaBudget:
-    """Sampling budget for the degree search."""
+    """Sampling budget for the degree search.
+
+    ``ladder`` defaults to DEFAULT_LADDER; only its last rung decides,
+    as in ``tau``, whose value is the smallest rung's residual.
+    """
 
     candidates_per_dim: int = 64
     b_per_candidate: int = 32
@@ -336,6 +340,24 @@ def _candidate_subspaces(n: int, k: int, normals, count: int, seed: int):
     return cands[:count]
 
 
+def _last_rung_residual(f, x, fx, W, n_dir, r, tol=math.inf) -> float:
+    """tau(f, x, W, n_dir, ladder).value for a ladder whose last rung is r,
+    wherever that value is below tol.
+
+    The RMS of the least-squares residual bounds the minimax residual from
+    below; when it reaches tol, with the _CERTIFY_TOL margin against
+    rounding, the bound is returned and no minimax fit is made.
+    """
+    dirs = sample_unit_vectors(W, n_dir, 0)
+    A = dirs @ W.span_basis()
+    q = (f.evaluate_many(x[None, :] + r * dirs) - fx) / r
+    c, *_ = np.linalg.lstsq(A, q, rcond=None)
+    rms = float(np.sqrt(np.mean(np.square(q - A @ c))))
+    if rms >= tol * (1.0 + _CERTIFY_TOL):
+        return rms
+    return minimax_fit(A, q)[1]
+
+
 def gamma(
     f: DirectionalFunction,
     x,
@@ -347,18 +369,24 @@ def gamma(
     Dimension-k candidates are seeded from detected kink normals, then
     quasi-random; each surviving V must keep the residual below tol for
     V itself and for V + cone(b) over the sampled b battery.  Ties at a
-    dimension break toward the smallest worst-b residual.
+    dimension break toward the smallest worst-b residual.  Each residual
+    is tau's value, so only the last ladder rung is fitted, and a
+    candidate whose least-squares bound already reaches tol is rejected
+    without a minimax fit.
     """
     _positive_tol(tol)
     if budget is None:
         budget = GammaBudget()
     x = _point(x, f.dimension)
     n = f.dimension
-    lad = budget.ladder
+    ladder = DEFAULT_LADDER if budget.ladder is None else budget.ladder
+    r = np.asarray(ladder, dtype=float)[-1]
+    fx = f(x)
+    n_dir = max(budget.directions, 2 * n)
 
-    t_full = tau(f, x, full_space(n), max(budget.directions, 2 * n), lad)
-    if t_full.value < tol:
-        return GammaEstimate(n, full_space(n), t_full.value, tol)
+    t_full = _last_rung_residual(f, x, fx, full_space(n), n_dir, r, tol)
+    if t_full < tol:
+        return GammaEstimate(n, full_space(n), t_full, tol)
 
     normals = kink_normals(f, x, seed=budget.seed)
     b_dirs = sample_unit_vectors(full_space(n), budget.b_per_candidate, budget.seed + 1)
@@ -369,19 +397,17 @@ def gamma(
             n, k, normals, budget.candidates_per_dim, budget.seed
         )
         for V in cands:
-            n_dir_v = max(budget.directions, 2 * n)
-            tV = tau(f, x, V, n_dir_v, lad)
-            if tV.value >= tol:
+            worst = _last_rung_residual(f, x, fx, V, n_dir, r, tol)
+            if worst >= tol:
                 continue
-            worst = tV.value
             ok = True
             for b in b_dirs:
                 H = halfspace(V, b)
                 if not H.rays:  # b landed in V: same subspace, already tested
                     continue
-                tH = tau(f, x, H, n_dir_v, lad)
-                worst = max(worst, tH.value)
-                if tH.value >= tol:
+                tH = _last_rung_residual(f, x, fx, H, n_dir, r, tol)
+                worst = max(worst, tH)
+                if tH >= tol:
                     ok = False
                     break
             if ok and (best is None or worst < best[1]):
@@ -392,8 +418,8 @@ def gamma(
     trivial = semilinear(n, [], [])
     worst = 0.0
     for b in b_dirs:
-        tR = tau(f, x, semilinear(n, [], [b]), max(4, 2 * n), lad)
-        worst = max(worst, tR.value)
+        ray = semilinear(n, [], [b])
+        worst = max(worst, _last_rung_residual(f, x, fx, ray, max(4, 2 * n), r))
     return GammaEstimate(0, trivial, worst, tol)
 
 
@@ -425,7 +451,7 @@ def singular_scan(
     lies within half a cell of a true kink of a piecewise-smooth f.
     Quotient magnitudes above _SF_THRESHOLD flag singular-set
     membership.  Flagged points are annotated with the differentiability
-    degree, from a small fixed gamma budget on the two finest rungs.
+    degree, from a small fixed gamma budget on the finest rung.
     """
     _positive_tol(tol)
     n = f.dimension
@@ -454,7 +480,7 @@ def singular_scan(
     sf = max_q > _SF_THRESHOLD
     candidates = np.flatnonzero((ls_res >= tol) | sf)
     gamma_budget = GammaBudget(
-        candidates_per_dim=8, b_per_candidate=8, directions=n_dir, ladder=ladder[-2:]
+        candidates_per_dim=8, b_per_candidate=8, directions=n_dir, ladder=ladder[-1:]
     )
     out = []
     for i in candidates:

@@ -14,6 +14,7 @@ from .funcspace import (
     DirectionalFunction,
     _box_grid,
     _check_finite,
+    _cloud,
     _direction,
     _point,
 )
@@ -46,20 +47,13 @@ class ClosedSetModel:
 
     @classmethod
     def from_points(cls, pts) -> "ClosedSetModel":
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if pts.size == 0:
-            raise ValueError("the set must be nonempty")
-        for p in pts:
-            _point(p, pts.shape[1])
-        return cls("points", points=pts)
+        return cls("points", points=_cloud(pts))
 
     @classmethod
     def from_polygon(cls, vertices) -> "ClosedSetModel":
-        verts = np.atleast_2d(np.asarray(vertices, dtype=float))
+        verts = _cloud(vertices)
         if verts.shape[0] < 3 or verts.shape[1] != 2:
             raise ValueError("polygon needs >= 3 2D vertices (closed loop)")
-        for v in verts:
-            _point(v, 2)
         edges = np.roll(verts, -1, axis=0) - verts
         if np.any(np.sum(edges * edges, axis=1) == 0.0):
             raise ValueError("polygon has a zero-length edge (repeated vertex)")
@@ -170,7 +164,7 @@ def distance_function(A: ClosedSetModel) -> DirectionalFunction:
 # medial axis by grid scan
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a scan returns one per grid point
 class MedialPoint:
     point: Tuple[float, ...]
     distance: float
@@ -196,10 +190,22 @@ def medial_scan(A: ClosedSetModel, box, resolution) -> List[MedialPoint]:
     for block in _blocks(pts):
         cands, dist = _candidates(A, block)
         cands = np.broadcast_to(cands, dist.shape + cands.shape[-1:])
-        for x, c, d, dmin in zip(block, cands, dist, np.min(dist, axis=1)):
+        dmins = np.min(dist, axis=1)
+        # tie-band candidates per point as _close_points selects them, 0 on
+        # the set; a lone one gives multiplicity 1 without the per-point loop
+        off = dmins > _ON_SET_TOL
+        band = np.zeros(len(dmins), dtype=int)
+        d_off = dmins[off]
+        band[off] = np.count_nonzero(
+            dist[off] <= (d_off * (1.0 + tie / d_off))[:, None], axis=1
+        )
+        for x, c, d, dmin, m in zip(block, cands, dist, dmins, band):
             dmin = float(dmin)
-            if dmin <= _ON_SET_TOL:
+            if m == 0:
                 continue  # on the set
+            if m == 1:
+                out.append(MedialPoint(tuple(x), dmin, 1))
+                continue
             dirs = []
             for y in _close_points(c, d, dmin, tie / dmin):
                 u = (x - y) / np.linalg.norm(x - y)

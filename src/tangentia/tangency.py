@@ -16,7 +16,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .funcspace import _direction, _point
+from .funcspace import _cloud, _direction, _point
 
 __all__ = [
     "ShellStat",
@@ -115,7 +115,7 @@ def fit_tangent(
     1..n raises, and so does rank deficiency below k, with the achievable
     rank in the message.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _cloud(points)
     _check_k(k, points.shape[1])
     x = _point(x, points.shape[1])
     h = points - x[None, :]
@@ -173,7 +173,7 @@ def is_k_tangential(points, x, V, eta: float = 0.2) -> TangencyReport:
     """
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _cloud(points)
     n = points.shape[1]
     x = _point(x, n)
     V = np.atleast_2d(np.asarray(V, dtype=float))
@@ -326,7 +326,7 @@ def sigma_decompose(
     This is an instrument, not a certificate: the clustering is greedy
     and the verdict inherits the shell-trend operationalization.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _cloud(points)
     _check_k(k, points.shape[1])
     npts = points.shape[0]
     rng = np.random.default_rng(seed)
@@ -459,10 +459,13 @@ def sigma_decompose(
 
 
 def load_point_cloud(path) -> np.ndarray:
-    """CSV point cloud, one point per row, optional x1,...,xn header."""
+    """CSV point cloud, one point per row, optional x1,...,xn header;
+    a cloud with a non-finite coordinate is refused."""
     with open(path, "r", encoding="utf-8") as fh:
-        first = fh.readline()
-    skip = 1 if any(c.isalpha() for c in first) else 0
-    return np.atleast_2d(
-        np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    )
+        first = fh.readline().split(",")
+    skip = 0
+    try:
+        [float(c) for c in first]
+    except ValueError:
+        skip = 1  # a header: a row such as 1e-3,nan is a point
+    return _cloud(np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2))

@@ -436,6 +436,21 @@ def test_tangency_k_outside_dimension_exits_1(k, sigma, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("sigma", [[], ["--sigma"]])
+def test_tangency_nan_cloud_exits_1(sigma, tmp_path, capsys):
+    # exited 0 with "reports": [], and with --sigma with "pass": false
+    t = np.linspace(-0.5, 0.5, 60)
+    cloud = np.stack([t, t * t], axis=1)
+    cloud[7] = [np.nan, 0.0]
+    pts = tmp_path / "nancloud.csv"
+    np.savetxt(pts, cloud, delimiter=",")
+    out = tmp_path / "r.json"
+    argv = ["tangency", "--points", str(pts), "--k", "1", "--out", str(out)]
+    assert run(argv + sigma) == 1
+    assert "finite coordinates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_thread_env_cap(monkeypatch, tmp_path):
     monkeypatch.setenv("TANGENTIA_THREADS", "1")
     out = tmp_path / "mf.csv"

@@ -10,6 +10,7 @@ from tangentia import nonsmooth
 from tangentia.errors import LadderDivergenceError
 from tangentia.funcspace import DirectionalFunction, make_maxaffine, parse_function_spec
 from tangentia.nonsmooth import (
+    GammaBudget,
     difference_quotient,
     directional_derivative,
     directional_derivative_detail,
@@ -112,6 +113,23 @@ def test_minimax_fit_matches_dual_lp(d, extra, seed, noise):
     assert res == np.max(np.abs(y - A @ coeffs))
     scale = 1.0 + np.max(np.abs(y))
     assert res == pytest.approx(_chebyshev_dual(A, y), abs=1e-9 * scale)
+
+
+@settings(max_examples=80)
+@given(
+    d=st.integers(1, 3),
+    m=st.integers(1, 48),
+    seed=st.integers(0, 2**32 - 1),
+    noise=st.sampled_from([0.0, 1e-9, 1e-3, 1.0]),
+)
+def test_minimax_residual_bounded_below_by_least_squares_rms(d, m, seed, noise):
+    # the bound gamma rejects candidates on without a minimax fit
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, d))
+    y = A @ rng.standard_normal(d) + noise * rng.standard_normal(m)
+    c, *_ = np.linalg.lstsq(A, y, rcond=None)
+    rms = math.sqrt(float(np.mean((y - A @ c) ** 2)))
+    assert minimax_fit(A, y)[1] >= rms * (1.0 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +411,55 @@ def test_gamma_monotone_in_tol():
     x = [0.0, 0.3]
     degrees = [gamma(f, x, tol=t).degree for t in (1e-4, 1e-3, 1e-2)]
     assert degrees == sorted(degrees)
+
+
+def _estimate(est):
+    return (est.degree, est.witness.basis.tobytes(),
+            [r.tobytes() for r in est.witness.rays], est.worst_residual)
+
+
+@pytest.mark.parametrize("x, degree", [([0.0, 0.3], 1), ([0.4, -0.2], 2)])
+def test_gamma_decided_by_last_rung(x, degree):
+    f = abs_x1_2d()
+    L = nonsmooth.DEFAULT_LADDER
+    est = gamma(f, x, budget=GammaBudget(ladder=L))
+    assert est.degree == degree
+    assert _estimate(est) == _estimate(gamma(f, x, budget=GammaBudget(ladder=L[-1:])))
+    if degree == 2:  # the full space: tau's value, bitwise
+        assert est.worst_residual == tau(f, x, full_space(2), 24, L).value
+
+
+def _linprog_counter(monkeypatch):
+    import scipy.optimize
+
+    calls = []
+    real = scipy.optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    return calls
+
+
+def test_rejected_candidates_make_no_lp(monkeypatch):
+    # criterion 05's first max-affine; pieces 1 and 2 meet at p, above piece 0
+    rng = np.random.default_rng(0)
+    a = rng.uniform(-2.0, 2.0, size=(3, 2))
+    c = rng.uniform(-1.0, 1.0, size=3)
+    f = make_maxaffine(a, c)
+    da, dc = a[1] - a[2], c[1] - c[2]
+    p = -dc * da / (da @ da)
+    v = a @ p + c
+    assert v[1] == pytest.approx(v[2], abs=1e-12) and v[0] < v[1] - 0.01
+
+    calls = _linprog_counter(monkeypatch)
+    assert gamma(f, p).degree == 1
+    assert calls == []
+    flags = singular_scan(f, ([-1, -1], [1, 1]), 16, annotate_gamma=True)
+    assert flags
+    assert len(calls) <= len(flags)
 
 
 # ---------------------------------------------------------------------------

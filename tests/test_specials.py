@@ -230,6 +230,56 @@ def test_medial_multiplicity_vs_gamma_and_tau():
     assert est.value >= gap / 2.0 - 1e-6
 
 
+def _medial_reference(A, box, res):
+    """medial_scan's docstring rule, applied one grid point at a time."""
+    from tangentia.funcspace import _box_grid
+
+    pts, cell = _box_grid(box, res, A.dimension, 2)
+    tie = specials._TIE_FACTOR * cell
+    out, deduped = [], 0
+    for x in pts:
+        cands, d = specials._candidates(A, x[None, :])
+        dmin = float(np.min(d))
+        if dmin <= specials._ON_SET_TOL:
+            continue
+        close = specials._close_points(cands[0], d[0], dmin, tie / dmin)
+        dirs = []
+        for y in close:
+            u = (x - y) / np.linalg.norm(x - y)
+            if all(
+                math.acos(min(1.0, max(-1.0, float(u @ v)))) > specials._ANGULAR_DEDUP
+                for v in dirs
+            ):
+                dirs.append(u)
+        deduped += len(dirs) < len(close)
+        out.append(specials.MedialPoint(tuple(x), dmin, len(dirs)))
+    return out, deduped
+
+
+@pytest.mark.parametrize(
+    "A, box",
+    [
+        (ClosedSetModel.from_polygon(SQUARE), ([0.0, 0.0], [1.0, 1.0])),
+        # an L shape: non-convex, with a reflex vertex at (1, 1)
+        (ClosedSetModel.from_polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
+         ([-0.5, -0.5], [2.5, 2.5])),
+        # a near-duplicate pair, one direction seen from afar
+        (ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]]),
+         ([-1.5, -1.5], [1.5, 1.5])),
+    ],
+    ids=["square", "L-polygon", "near-duplicate-points"],
+)
+def test_medial_scan_matches_pointwise_rule(A, box):
+    scan = medial_scan(A, box, 37)
+    ref, deduped = _medial_reference(A, box, 37)
+    assert [(p.point, p.distance, p.multiplicity) for p in scan] == [
+        (p.point, p.distance, p.multiplicity) for p in ref
+    ]
+    assert any(p.multiplicity >= 2 for p in scan)
+    if A.kind == "points":
+        assert deduped > 0  # the angular dedup decided some points
+
+
 def test_medial_csv(tmp_path):
     A = ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
     scan = medial_scan(A, ([-0.5, -0.5], [0.5, 0.5]), 9)

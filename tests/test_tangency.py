@@ -233,3 +233,52 @@ def test_load_point_cloud_with_and_without_header(tmp_path):
     b = load_point_cloud(p2)
     assert np.array_equal(a, b)
     assert a.shape == (2, 2)
+
+
+def test_load_point_cloud_scientific_notation_is_data(tmp_path):
+    # an "e" in the first row once read as a header and dropped that point
+    p = tmp_path / "sci.csv"
+    np.savetxt(p, parabola_points(n=6), delimiter=",")
+    assert np.array_equal(load_point_cloud(p), parabola_points(n=6))
+
+
+# ---------------------------------------------------------------------------
+# the cloud gate
+
+
+def _nan_row_cloud():
+    pts = parabola_points(n=60)
+    pts[7] = [math.nan, 0.0]
+    return pts
+
+
+@pytest.mark.parametrize(
+    "points, match",
+    [
+        (_nan_row_cloud(), "finite coordinates"),
+        (np.zeros((0, 2)), "nonempty"),
+        (np.zeros((4, 2, 1)), "nonempty"),
+        (np.zeros(2), "nonempty"),
+    ],
+    ids=["nan-row", "empty", "3d-array", "1d-array"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda P: fit_tangent(P, np.zeros(2), 1),
+        lambda P: is_k_tangential(P, np.zeros(2), np.array([[1.0], [0.0]])),
+        lambda P: sigma_decompose(P, 1),
+    ],
+    ids=["fit_tangent", "is_k_tangential", "sigma_decompose"],
+)
+def test_cloud_gate(call, points, match):
+    # a nan row was skipped per base or clustered: "reports": [] or a fail
+    with pytest.raises(ValueError, match=match):
+        call(points)
+
+
+def test_load_point_cloud_refuses_nan_row(tmp_path):
+    p = tmp_path / "nan.csv"
+    np.savetxt(p, _nan_row_cloud(), delimiter=",")
+    with pytest.raises(ValueError, match=r"row 7\) must have finite coordinates"):
+        load_point_cloud(p)
