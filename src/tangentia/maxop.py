@@ -30,6 +30,7 @@ from .errors import MaximalBlowupError
 from .funcspace import (
     DirectionalFunction,
     _box_grid,
+    _box_text,
     _direction,
     _point,
     _profile_at,
@@ -116,6 +117,28 @@ def _default_r_max(f: DirectionalFunction, x: np.ndarray) -> float:
     return 50.0 * (1.0 + float(np.linalg.norm(x)))
 
 
+def _check_reach(f: DirectionalFunction, points: np.ndarray, r_max):
+    """Refuse, before any evaluation, a radius search whose balls about
+    the (m, n) points leave the domain of f, naming the largest r_max that
+    keeps every ball inside.  A function with a domain has no default
+    r_max."""
+    if f.domain is None:
+        return
+    lo, hi = f.domain
+    box = _box_text(lo, hi)
+    room = np.min(np.minimum(points - lo, hi - points), axis=1)
+    if np.any(room <= 0.0):
+        p = tuple(points[np.argmax(room <= 0.0)].tolist())
+        raise ValueError(f"point {p} does not lie inside the sample box {box}")
+    largest = float(np.min(room))
+    if r_max is None or r_max > largest:
+        radius = "the default r_max" if r_max is None else f"r_max {r_max:g}"
+        raise ValueError(
+            f"{radius} takes a ball outside the sample box {box}; give r_max "
+            f"(--r-max on the command line) of at most {largest:g}"
+        )
+
+
 def maximal(
     f: DirectionalFunction,
     x,
@@ -127,13 +150,14 @@ def maximal(
     Returns the value together with all maximizing radii (within the
     relative gap _REL_TOL of the best).  When lam = 0 the candidate r = 0
     contributes |f(x)|; a non-decaying tail at r_max adds the infinity
-    marker.
+    marker.  When f has a domain, r_max must keep B(x, r_max) inside it.
     """
     if not f.continuous:
         raise ValueError("the maximal-operator pipeline requires continuous f")
     if not 0.0 <= lam < math.inf:
         raise ValueError(f"lambda must be finite and >= 0, got {lam}")
     x = _point(x, f.dimension)
+    _check_reach(f, x[None, :], r_max)
     absf = absolute(f)
     if r_max is None:
         r_max = _default_r_max(f, x)
@@ -333,6 +357,7 @@ def maximal_field(
 ):
     """(points, values, radii sets) of the operator over a grid, row-major."""
     pts, _ = _box_grid(box, resolution, f.dimension, 1)
+    _check_reach(f, pts, r_max)
 
     def work(p):
         return maximal(f, p, lam, r_max)

@@ -225,9 +225,16 @@ def test_grid_function_outside_its_samples_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "outside the sample box [-3, 3] x [-3, 3]" in err
     assert "xi" not in err
+    # refused before any evaluation, naming the flag and the largest r_max
+    # that keeps the balls of the field points (-1..1)^2 inside the box
+    assert "--r-max" in err and "at most 2\n" in err
+    assert not out.exists()
+    assert run(argv + ["--r-max", "2.01"]) == 1
+    assert "r_max 2.01 takes a ball outside" in capsys.readouterr().err
     assert not out.exists()
     assert run(argv + ["--r-max", "0.9"]) == 0
     assert out.exists()
+    assert run(argv + ["--r-max", "2"]) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,83 @@ def test_ball_average_radii_checks_every_chunk():
     )
     with pytest.raises(NumericDomainError):
         ball_average_radii(f, np.zeros(3), np.geomspace(1e-3, 40.0, 512))
+
+
+def _recorded(batch, n):
+    """f with this batch evaluator, and the list of every batch it was given."""
+    seen = []
+
+    def record(pts):
+        seen.append(np.array(pts))  # the kernel reuses its coordinate buffer
+        return batch(pts)
+
+    f = DirectionalFunction(
+        evaluator=lambda y: float(record(y[None, :])[0]), dimension=n, batch_evaluator=record
+    )
+    return f, seen
+
+
+@pytest.mark.parametrize("where", ["ball rule", "late annulus"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_average_radii_names_first_non_finite_point(n, bad, where):
+    # a non-finite value in the first radius's ball rule, or in a chunk of
+    # annuli near the largest radius, is refused at the first point of the
+    # evaluation order where f is non-finite
+    x = np.array([0.3, -0.2, 0.1][:n])
+    radii = np.geomspace(1e-3, 40.0, 512)
+    lo, hi = (0.0, 0.5e-3) if where == "ball rule" else (30.0, math.inf)
+
+    def batch(pts):
+        d = pts - x
+        r = np.linalg.norm(d, axis=1)
+        return np.where((r > lo) & (r < hi) & (d[:, 1] > 0.0), bad, 1.0)
+
+    f, seen = _recorded(batch, n)
+    with pytest.raises(NumericDomainError) as err:
+        ball_average_radii(f, x, radii)
+    pts = np.concatenate(seen)
+    first = pts[np.argmax(~np.isfinite(batch(pts)))]
+    assert err.value.point == tuple(first.tolist())
+    assert err.value.value == bad or (math.isnan(bad) and math.isnan(err.value.value))
+    if where == "late annulus":
+        # the ball rule's batches and the first chunk of annuli pass
+        ball_batches = -(-len(DEFAULT_QUADRATURE.ball_rule(n)[0]) // funcspace._CHUNK_POINTS)
+        assert len(seen) > ball_batches + 1
+        assert np.all(np.isfinite(batch(seen[ball_batches])))
+        assert np.linalg.norm(first - x) > 30.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_average_radii_overflowing_sum_is_not_refused(n):
+    # every value is finite, but the direction sums beyond |y| = 1 overflow:
+    # numpy warns, and the averages there read inf, with no NumericDomainError
+    def batch(pts):
+        return np.where(np.linalg.norm(pts, axis=1) > 1.0, 1e308, 1.0)
+
+    f = DirectionalFunction(
+        evaluator=lambda y: float(batch(y[None, :])[0]), dimension=n, batch_evaluator=batch
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        out = ball_average_radii(f, np.zeros(n), [0.0, 0.5, 1.0, 2.0, 3.0])
+    assert np.allclose(out[:3], 1.0, rtol=0.0, atol=1e-14)
+    assert np.all(out[3:] == math.inf)
+
+
+@pytest.mark.parametrize("n, limit_mb", [(2, 2.0), (3, 4.0)])
+def test_ball_average_radii_peak_memory(n, limit_mb):
+    # the maximal-operator grid is evaluated in cache-sized chunks
+    f = make_gauss(0.5, n)
+    x = np.full(n, 0.2)
+    radii = np.geomspace(1e-3, 100.0, 512)
+    ball_average_radii(f, x, radii)  # builds the cached quadrature rules
+    tracemalloc.start()
+    try:
+        ball_average_radii(f, x, radii)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_mb * 1e6
 
 
 def _ascending_radii(draw, leading_zero: bool):

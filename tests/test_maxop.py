@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
@@ -265,6 +267,34 @@ def test_blowup_guard_3d():
     )
     with pytest.raises(MaximalBlowupError):
         maximal(f, [0.0, 0.0, 0.0])
+
+
+_PROPERTY_SPECS = ("gauss(0.5,2)", "gauss(0.5,3)", "maxaffine[(1,0,0),(-1,0,0),(0,1,0)]")
+
+
+@st.composite
+def _spec_and_point(draw):
+    spec = draw(st.sampled_from(_PROPERTY_SPECS))
+    n = parse_function_spec(spec).dimension
+    return spec, draw(st.lists(st.floats(-2.0, 2.0), min_size=n, max_size=n))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_spec_and_point())
+def test_maximal_dominates_abs_f(case):
+    spec, x = case
+    f = parse_function_spec(spec)
+    assert maximal(f, x)[0] >= abs(f(x)) * (1.0 - 1e-12)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_spec_and_point(), st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+def test_maximal_nonincreasing_in_lambda(case, lam_a, lam_b):
+    # the sup over [lam, r_max] can only fall as lam grows
+    spec, x = case
+    f = parse_function_spec(spec)
+    lo, hi = sorted((lam_a, lam_b))
+    assert maximal(f, x, hi)[0] <= maximal(f, x, lo)[0] * (1.0 + 1e-9)
 
 
 # ---------------------------------------------------------------------------

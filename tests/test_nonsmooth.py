@@ -25,6 +25,7 @@ from tangentia.semilinear import (
     halfspace,
     linear_subspace,
     ray_space,
+    sample_unit_vectors,
 )
 
 
@@ -460,6 +461,65 @@ def test_rejected_candidates_make_no_lp(monkeypatch):
     flags = singular_scan(f, ([-1, -1], [1, 1]), 16, annotate_gamma=True)
     assert flags
     assert len(calls) <= len(flags)
+
+
+def _kink_normals_scalar(f, x, seed=0):
+    """kink_normals with one scalar call of f per difference point."""
+    n = f.dimension
+    h = nonsmooth._FD_H
+    eye = np.eye(n)
+    grads = []
+    for u in sample_unit_vectors(full_space(n), nonsmooth._N_PROBES, seed):
+        p = np.asarray(x, dtype=float) + nonsmooth._PROBE_RADIUS * u
+        grads.append(
+            np.array([(f(p + h * eye[i]) - f(p - h * eye[i])) / (2.0 * h) for i in range(n)])
+        )
+    reps = []
+    for g in grads:
+        if all(np.linalg.norm(g - r) > nonsmooth._CLUSTER_TOL for r in reps):
+            reps.append(g)
+    normals = []
+    for i in range(len(reps)):
+        for j in range(i + 1, len(reps)):
+            d = reps[i] - reps[j]
+            if np.linalg.norm(d) > nonsmooth._CLUSTER_TOL:
+                d = d / np.linalg.norm(d)
+                if all(
+                    min(np.linalg.norm(d - m), np.linalg.norm(d + m)) > 1e-6
+                    for m in normals
+                ):
+                    normals.append(d)
+    return normals
+
+
+# a smooth f rounds differently in its scalar and batch evaluators (gauss:
+# math.exp of x @ x against np.exp of a row sum), by about one ulp of f;
+# over the difference step that is eps / _FD_H in a gradient, and two
+# gauss gradient clusters may lie only _CLUSTER_TOL apart
+_SMOOTH_NORMAL_TOL = np.finfo(float).eps / (nonsmooth._FD_H * nonsmooth._CLUSTER_TOL)
+
+
+@pytest.mark.parametrize(
+    "spec, x, count, tol",
+    [
+        ("maxaffine[(1,0,0),(-1,0,0),(0,1,0)]", (0.0, -0.3), 1, 1e-8),
+        ("maxaffine[(1,0,0),(-1,0,0),(0,1,0)]", (0.0, 0.0), 3, 1e-8),
+        ("maxaffine[(1,0,0,0),(0,1,0,0),(0,0,1,0)]", (0.2, 0.2, 0.2), 3, 1e-8),
+        ("distpoly[(0,0),(1,0),(1,1),(0,1)]", (0.3, 0.3), 1, 1e-8),
+        ("distpoly[(0,0),(1,0),(1,1),(0,1)]", (0.5, 0.5), 4, 1e-8),
+        ("gauss(0.5,2)", (0.3, 0.1), 55, _SMOOTH_NORMAL_TOL),
+        ("gauss(0.5,3)", (0.3, 0.1, -0.2), 120, _SMOOTH_NORMAL_TOL),
+    ],
+)
+def test_kink_normals_match_scalar_probes(spec, x, count, tol):
+    # the batched probes give the normals of one scalar call per point
+    f = parse_function_spec(spec)
+    got = nonsmooth.kink_normals(f, x)
+    ref = _kink_normals_scalar(f, x)
+    assert len(ref) == count
+    assert len(got) == count
+    for a, b in zip(got, ref):
+        assert np.max(np.abs(a - b)) <= tol
 
 
 # ---------------------------------------------------------------------------
