@@ -61,6 +61,13 @@ class DirectionalFunction:
     (lo, hi) outside which f is not defined, such as the sample box of a
     grid function; None means all of R^n.  The maximal-operator pipelines
     require ``continuous=True``.
+
+    ``kinks`` are the 1D points where |f| may bend: the kinks of f and
+    where it changes sign.  Ball averages cut their pieces there, so they
+    are exact on a piecewise-linear f.  A 1D f without kinks is treated
+    as smooth, as every 2D and 3D f is; an undeclared kink costs up to
+    about 1e-5 in a maximal value (the tent without its kinks at 100
+    seeded points in [-3, 3]: 8.2e-6 worst, against 1.2e-15 with them).
     """
 
     evaluator: Callable[[np.ndarray], float]
@@ -72,6 +79,7 @@ class DirectionalFunction:
     support: Optional[Tuple[np.ndarray, np.ndarray]] = None
     label: str = ""
     domain: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    kinks: Tuple[float, ...] = ()
 
     def __call__(self, x) -> float:
         return float(self.evaluator(_point(x, self.dimension)))
@@ -89,7 +97,7 @@ class DirectionalFunction:
 
 
 def absolute(f: DirectionalFunction) -> DirectionalFunction:
-    """|f|, preserving the Lipschitz bound, support, and oracle.
+    """|f|, preserving the Lipschitz bound, support, kinks and oracle.
 
     At points with f(x) = 0 the one-sided derivative of |f| is |D_theta f|.
     """
@@ -113,16 +121,12 @@ def absolute(f: DirectionalFunction) -> DirectionalFunction:
                 return -d
             return abs(d)
 
-    return DirectionalFunction(
+    return replace(
+        f,
         evaluator=ev,
-        dimension=f.dimension,
         derivative=deriv,
-        lipschitz=f.lipschitz,
-        continuous=f.continuous,
         batch_evaluator=batch,
-        support=f.support,
         label=f"abs({f.label})" if f.label else "",
-        domain=f.domain,
     )
 
 
@@ -262,10 +266,17 @@ class GridFunction:
         return self._interpolator()(np.atleast_2d(points))
 
     def as_function(self) -> DirectionalFunction:
-        """The interpolant; a point outside the sample box is refused."""
+        """The interpolant; a point outside the sample box is refused.  In
+        1D its kinks are the nodes and the zeros between them."""
         interp = self._interpolator()
         lo = np.asarray(self.lo, dtype=float)
         hi = np.asarray(self.hi, dtype=float)
+        kinks = ()
+        if self.dimension == 1:
+            t, v = self.axes()[0], self.samples
+            flip = np.flatnonzero(np.sign(v[:-1]) * np.sign(v[1:]) < 0)
+            zeros = t[flip] - v[flip] * np.diff(t)[flip] / np.diff(v)[flip]
+            kinks = tuple(np.union1d(t, zeros).tolist())
 
         def batch(pts):
             outside = np.any((pts < lo) | (pts > hi), axis=1)
@@ -283,6 +294,7 @@ class GridFunction:
             support=(lo, hi),
             label="grid",
             domain=(lo, hi),
+            kinks=kinks,
         )
 
     @classmethod
@@ -343,14 +355,12 @@ class QuadratureConfig:
     the sphere rule to the exact surface area.
 
     ``ball_average_radii`` applies the ball rule at its first positive
-    radius only.  Beyond it, it integrates over the same directions on
-    annuli, with _GAP_NODES = 4 Gauss-Legendre radii per piece and pieces
-    at most _MAX_PIECE = 5 % of their outer radius wide.  Both the ball
-    rule and the annuli are evaluated at most _CHUNK_POINTS = 2^14 points
-    at a time, a size that keeps each batch in the L2 cache (see
-    :func:`_annulus_integrals`).  ``ball_average``
-    integrates a positive 1D radius adaptively: a 4-node piece is blind to
-    a kink near its ends, where in 2D and 3D the direction sum smooths it.
+    radius only, unless f declares kinks.  Beyond it, it integrates over
+    the same directions on annuli, with _GAP_NODES = 4 Gauss-Legendre
+    radii per piece and pieces at most _MAX_PIECE = 5 % of their outer
+    radius wide, cut at f's kinks.  Both the ball rule and the annuli are
+    evaluated at most _CHUNK_POINTS = 2^14 points at a time, a size that
+    keeps each batch in the L2 cache (see :func:`_annulus_integrals`).
     """
 
     radial_order: int = 32
@@ -442,24 +452,8 @@ def ball_average(
 ) -> float:
     """Average of f over the ball B(x, r); f(x) itself when r = 0.
 
-    A positive 1D radius is integrated adaptively, the 1D refinement rule
-    (see ``ball_average_radii``); every other radius goes to that function.
+    The shell profile of ``ball_average_radii`` at the one radius r.
     """
-    x = _point(x, f.dimension)
-    if f.dimension == 1 and 0.0 < r < math.inf:
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda t: f.evaluator(np.array([t])),
-            float(x[0]) - r,
-            float(x[0]) + r,
-            epsabs=1e-12,
-            epsrel=1e-11,
-            limit=200,
-        )
-        if not math.isfinite(val):
-            raise NumericDomainError(x, val)
-        return val / (2.0 * r)
     return float(ball_average_radii(f, x, [r], quadrature)[0])
 
 
@@ -494,12 +488,11 @@ def ball_average_radii(
     radii (:func:`_annulus_integrals`).  Where consecutive radii are
     close, as on the radius grid of ``maxop.maximal``, this costs a few
     shells per radius instead of a whole ball.  A 1D shell is the two
-    points x +- s, so a 4-node piece is blind to a kink of f near its
-    ends: the 1D radius search refines on the adaptive ``ball_average``,
-    while in 2D and 3D the direction sum smooths kinks.  f is evaluated at
-    most _CHUNK_POINTS points at a time, so the memory of one call does
-    not grow with the number of radii: on the 512-radius grid of
-    ``maxop.maximal`` the peak of a 3D gauss is about 1.5 MB.
+    points x +- s, so the pieces are cut where a shell meets one of f's
+    kinks, and a first ball that may hold a kink is an annulus from 0,
+    cut the same way: a piecewise-linear f is integrated exactly.  The
+    memory of one call does not grow with the number of radii: on the
+    512-radius grid of ``maxop.maximal`` a 3D gauss peaks at about 1.5 MB.
     """
     x = _point(x, f.dimension)
     radii = np.asarray(radii, dtype=float)
@@ -521,7 +514,10 @@ def ball_average_radii(
         return out
     # the ball rule at the first radius, then one annulus per later radius
     n = f.dimension
-    first = _ball_rule_sum(f, x, pos[0], quadrature)
+    if f.kinks:  # on the unit annulus, so a subnormal radius loses nothing
+        first = _annulus_integrals(f, x, np.zeros(1), np.ones(1), quadrature, pos[0])[0]
+    else:
+        first = _ball_rule_sum(f, x, pos[0], quadrature)
     annuli = _annulus_integrals(f, x, pos[:-1], pos[1:], quadrature)
     vol = unit_ball_volume(n)
     out[start] = first / vol  # exactly ball_average's value
@@ -550,13 +546,15 @@ def _profile_at(f, x, radii, averages, r: float) -> float:
     return float((averages[k] * vol * g**n + annulus[0]) / (vol * r**n))
 
 
-def _annulus_integrals(f, x, lo, hi, quadrature) -> np.ndarray:
+def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
     """Integral of f over each annulus lo[k] < |y - x| < hi[k], hi > lo >= 0.
 
     In polar form this is the integral over s in [lo, hi] of s^(n-1)
     times the ball rule's direction sum of f(x + s u).  Each gap is cut
     into equal pieces no wider than _MAX_PIECE of its outer radius, with
-    a _GAP_NODES-node Gauss-Legendre rule on each piece.
+    a _GAP_NODES-node Gauss-Legendre rule on each piece.  A 1D piece is
+    cut again where x + s or x - s meets a kink of f.  With a scale, the
+    annuli are scale * lo < |y - x| < scale * hi, integrals / scale^n.
 
     The shell points are evaluated _CHUNK_POINTS // m radii at a time (m
     directions), written into one coordinate buffer that the call reuses.
@@ -585,8 +583,17 @@ def _annulus_integrals(f, x, lo, hi, quadrature) -> np.ndarray:
     step = (hi - lo)[gap] / pieces[gap]
     a = lo[gap] + j * step
     b = np.where(j == pieces[gap] - 1, hi[gap], a + step)
+    if f.kinks and len(lo):
+        # the gaps tile [lo[0], hi[-1]] (hi[k] = lo[k + 1]); a kink is
+        # compared with the scaled range before its cut is scaled up
+        cuts = np.abs(np.asarray(f.kinks) - x[0])
+        cuts = cuts[(cuts > scale * lo[0]) & (cuts < scale * hi[-1])] / scale
+        ends = np.union1d(np.append(a, hi[-1]), cuts)
+        a, b = ends[:-1], ends[1:]
+        gap = np.searchsorted(hi, a, side="right")
     half = 0.5 * (b - a)
     s = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
+    scaled = s * scale
     shell = np.empty(len(s))
     per_chunk = max(1, _CHUNK_POINTS // m)
     buf = np.empty(n * min(per_chunk, len(s)) * m)
@@ -596,7 +603,7 @@ def _annulus_integrals(f, x, lo, hi, quadrature) -> np.ndarray:
         # array, so per-coordinate work in a batch evaluator (sums of
         # squares, differences) reads unit strides
         coords = buf[: n * k * m].reshape(n, k, m)
-        np.multiply(s[None, i : i + k, None], dirs_t[:, None, :], out=coords)
+        np.multiply(scaled[None, i : i + k, None], dirs_t[:, None, :], out=coords)
         coords += x[:, None, None]
         pts = coords.reshape(n, -1).T
         vals = f.evaluate_many(pts)
@@ -669,6 +676,7 @@ def make_tent() -> DirectionalFunction:
         batch_evaluator=batch,
         support=(np.array([-1.0]), np.array([1.0])),
         label="tent",
+        kinks=(-1.0, 0.0, 1.0),
     )
 
 
@@ -679,6 +687,13 @@ def make_maxaffine(coeffs, consts) -> DirectionalFunction:
     if A.shape[0] != c.shape[0]:
         raise ValueError("one constant per affine piece required")
     n = A.shape[1]
+    kinks = ()
+    if n == 1:  # where two pieces cross, or one crosses the zero piece
+        a0, c0 = np.append(A[:, 0], 0.0), np.append(c, 0.0)
+        i, j = np.triu_indices(len(a0), 1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            at = (c0[j] - c0[i]) / (a0[i] - a0[j])
+        kinks = tuple(np.unique(at[np.isfinite(at)]).tolist())
 
     def ev(x):
         return float(np.max(A @ x + c))
@@ -700,6 +715,7 @@ def make_maxaffine(coeffs, consts) -> DirectionalFunction:
         lipschitz=K,
         batch_evaluator=batch,
         label="maxaffine",
+        kinks=kinks,
     )
 
 

@@ -8,12 +8,9 @@ unsound.
 The grid averages are one cumulative shell profile
 (``funcspace.ball_average_radii``): the ball rule at the first radius,
 then a 4-node Gauss-Legendre integral over each annulus between grid
-radii.  In 2D and 3D refinement extends that profile from the nearest
-grid radius below, so it reproduces the grid values exactly and never
-compares two rules.  In 1D refinement uses the adaptive
-``funcspace.ball_average``: a 1D shell is two points, so a 4-node piece
-is blind to a kink of f near its ends, while in 2D and 3D the direction
-sum smooths kinks.
+radii, cut in 1D at the declared kinks of f.  Refinement extends that
+profile from the nearest grid radius below, so it reproduces the grid
+values exactly and never compares two rules.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and
 value(inf) = the flat tail of the averages.
 """
@@ -190,11 +187,8 @@ def maximal(
         rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True})
         return value, rset
 
-    if f.dimension == 1:
-        fn = lambda r: ball_average(absf, x, r)  # noqa: E731
-    else:
-        # refine on the coarse stage's own shell profile: one rule throughout
-        fn = lambda r: _profile_at(absf, x, grid, avgs, r)  # noqa: E731
+    # refine on the coarse stage's own shell profile: one rule throughout
+    fn = lambda r: _profile_at(absf, x, grid, avgs, r)  # noqa: E731
     interior = np.flatnonzero(
         (avgs[1:-1] >= avgs[:-2]) & (avgs[1:-1] >= avgs[2:])
     ) + 1
@@ -202,20 +196,10 @@ def maximal(
     # branch); compress plateau runs into one bracket each
     margin = 0.02 * spread + 1e-12 * scale
     grid_best = float(np.max(avgs))
-    interior = [i for i in interior if avgs[i] >= grid_best - margin]
-    brackets = []
-    run_start = None
-    prev = None
-    for i in interior:
-        if run_start is None:
-            run_start = prev = i
-        elif i == prev + 1:
-            prev = i
-        else:
-            brackets.append((grid[run_start - 1], grid[prev + 1]))
-            run_start = prev = i
-    if run_start is not None:
-        brackets.append((grid[run_start - 1], grid[prev + 1]))
+    interior = interior[avgs[interior] >= grid_best - margin]
+    starts = interior[np.diff(interior, prepend=-2) != 1]
+    ends = interior[np.diff(interior, append=len(avgs) + 1) != 1]
+    brackets = [(grid[i - 1], grid[j + 1]) for i, j in zip(starts, ends)]
     if avgs[0] >= avgs[1] and avgs[0] >= grid_best - margin:
         brackets.append((grid[0], grid[1]))
     if avgs[-1] >= avgs[-2] and avgs[-1] >= grid_best - margin:
@@ -304,15 +288,6 @@ class TranslationBoundReport:
     rhs: float
     ratio: float
     passed: bool
-
-    def to_json_dict(self):
-        return {
-            "check": self.check,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "pass": self.passed,
-        }
 
 
 def check_translation_bound(

@@ -139,7 +139,8 @@ def _distance_derivative(A: ClosedSetModel, x, theta) -> float:
 
 
 def distance_function(A: ClosedSetModel) -> DirectionalFunction:
-    """The 1-Lipschitz distance-to-A as a DirectionalFunction."""
+    """The 1-Lipschitz distance-to-A as a DirectionalFunction.  In 1D its
+    kinks are the points of A and the midpoints between neighbours."""
 
     def batch(pts):
         return np.concatenate(
@@ -149,6 +150,10 @@ def distance_function(A: ClosedSetModel) -> DirectionalFunction:
     pts = A.candidate_points()
     lo = pts.min(axis=0) - 1.0
     hi = pts.max(axis=0) + 1.0
+    kinks = ()
+    if A.dimension == 1:
+        p = np.unique(pts)
+        kinks = tuple(np.union1d(p, 0.5 * (p[:-1] + p[1:])).tolist())
     return DirectionalFunction(
         evaluator=lambda x: float(np.min(_candidates(A, x[None, :])[1])),
         dimension=A.dimension,
@@ -157,6 +162,7 @@ def distance_function(A: ClosedSetModel) -> DirectionalFunction:
         batch_evaluator=batch,
         support=(lo, hi),
         label=f"dist[{A.kind}]",
+        kinks=kinks,
     )
 
 

@@ -256,7 +256,6 @@ class SigmaPiece:
     """
 
     indices: np.ndarray  # indices into the input cloud
-    direction_basis: np.ndarray  # (n, k) representative tangent
     bases_tested: int
     bases_passed: int
     bases_conclusive: int
@@ -428,10 +427,7 @@ def sigma_decompose(
                 conclusive += 1
             if rep.verdict == "tangential":
                 passed += 1
-        basis = refined.get(c)
-        if basis is None:
-            basis = reps[c] if c < len(reps) else dirs[idx[0]]
-        piece_list.append(SigmaPiece(idx, basis, nb, passed, conclusive))
+        piece_list.append(SigmaPiece(idx, nb, passed, conclusive))
         if conclusive > 0:
             if passed < math.ceil(0.9 * conclusive):
                 overall = False

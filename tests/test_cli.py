@@ -241,6 +241,17 @@ def test_grid_function_outside_its_samples_exits_1(tmp_path, capsys):
 # subcommands
 
 
+def test_maximal_field_of_infconv_is_quiet(tmp_path, capfd):
+    # an adaptive 1D integral of this grid-searched envelope warned of
+    # roundoff; the shell profile makes no such request
+    out = tmp_path / "mf.csv"
+    argv = ["maximal-field", "--function", "infconv(tent,0.5)", "--box=-1,1",
+            "--res", "3", "--r-max", "3", "--out", str(out)]
+    assert run(argv) == 0
+    assert capfd.readouterr().err == ""
+    assert len(read_body(out).splitlines()) == 4
+
+
 def test_maximal_field_value_at_two(tmp_path):
     out = tmp_path / "mf.csv"
     rc = run(

@@ -12,9 +12,11 @@ from tangentia.funcspace import (
     DEFAULT_QUADRATURE,
     DirectionalFunction,
     GridFunction,
+    absolute,
     ball_average,
     ball_average_radii,
     make_gauss,
+    make_maxaffine,
     parse_function_spec,
     sphere_average_derivative,
     unit_ball_volume,
@@ -364,6 +366,74 @@ def test_profile_extension_between_radii(n):
         )
     with pytest.raises(ValueError, match="below"):
         funcspace._profile_at(f, x, radii, out, 0.005)
+
+
+def _linear_integral(f, breaks, u, v, absolute_value):
+    """Integral over [u, v] of f, or of |f|, for f linear between breaks:
+    the trapezoid rule on each stretch, and on a stretch where f changes
+    sign, the two triangles of |f|."""
+    t = np.unique([u, v] + [b for b in breaks if u < b < v])
+    y = np.array([f([ti]) for ti in t])
+    y0, y1, dt = y[:-1], y[1:], np.diff(t)
+    if not absolute_value:
+        return float(np.sum(0.5 * dt * (y0 + y1)))
+    a0, a1 = np.abs(y0), np.abs(y1)
+    same = y0 * y1 >= 0.0
+    cross = 0.5 * (y0 * y0 + y1 * y1) / np.where(same, 1.0, a0 + a1)
+    return float(np.sum(dt * np.where(same, 0.5 * (a0 + a1), cross)))
+
+
+@st.composite
+def _piecewise_linear_cases(draw):
+    """A 1D max-affine, distance or grid function, the points where it
+    bends, a centre and ascending radii, some just either side of a
+    point where a shell meets a bend."""
+    from tangentia.specials import ClosedSetModel, distance_function
+
+    kind = draw(st.sampled_from(["maxaffine", "dist", "grid"]))
+    if kind == "maxaffine":
+        k = draw(st.integers(2, 4))
+        a = draw(st.lists(st.integers(-12, 12), min_size=k, max_size=k))
+        a = np.array(a) / 4.0
+        c = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+        f = make_maxaffine(a[:, None], c)
+        i, j = np.triu_indices(k, 1)
+        i, j = i[a[i] != a[j]], j[a[i] != a[j]]
+        breaks = list((c[j] - c[i]) / (a[i] - a[j]))
+    elif kind == "dist":
+        pts = sorted(set(draw(st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5))))
+        f = distance_function(ClosedSetModel.from_points([[p] for p in pts]))
+        breaks = pts + [0.5 * (p + q) for p, q in zip(pts, pts[1:])]
+    else:
+        m = draw(st.integers(2, 12))
+        samples = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+        g = GridFunction((-3.0,), (3.0,), (m,), samples)
+        f, breaks = g.as_function(), list(g.axes()[0])
+    x = draw(st.floats(-1.0, 1.0))
+    radii = set(_ascending_radii(draw, False)[:4])
+    for b in breaks:
+        d = abs(x - b)
+        if 1e-3 < d < 1.9 and draw(st.booleans()):
+            radii |= {d * (1.0 - 1e-9), d * (1.0 + 1e-9)}
+    radii = np.array(sorted(r for r in radii if r <= 2.0))
+    return f, breaks, x, radii
+
+
+@settings(max_examples=60, deadline=None)
+@given(_piecewise_linear_cases())
+def test_shell_profile_is_exact_on_piecewise_linear_functions(case):
+    # the pieces are cut where a shell meets a bend, so every average, at
+    # the first radius and between radii too, is exact up to rounding
+    f, breaks, x, radii = case
+    between = 0.5 * (radii[:-1] + radii[1:])
+    between = np.concatenate((between, [abs(x - b) for b in breaks]))
+    between = between[(between > radii[0]) & (between < radii[-1])]
+    for g, absolute_value in ((f, False), (absolute(f), True)):
+        out = ball_average_radii(g, [x], radii)
+        got = list(out) + [funcspace._profile_at(g, np.array([x]), radii, out, r) for r in between]
+        for avg, r in zip(got, list(radii) + list(between)):
+            ref = _linear_integral(f, breaks, x - r, x + r, absolute_value) / (2.0 * r)
+            assert abs(avg - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
+import tangentia
 from tangentia import maxop
 from tangentia.errors import MaximalBlowupError
 from tangentia.funcspace import DirectionalFunction, parse_function_spec
@@ -83,14 +89,64 @@ def test_monotone_in_lambda():
 
 def test_operator_sees_absolute_value():
     f = tent()
-    neg = DirectionalFunction(
+    # -f keeps the tent's kinks, where |-f| bends
+    neg = dataclasses.replace(
+        f,
         evaluator=lambda x: -f.evaluator(x),
-        dimension=1,
         batch_evaluator=lambda p: -f.batch_evaluator(p),
-        support=f.support,
+        derivative=None,
     )
     for x in (0.0, 1.3, 2.0):
         assert maximal(neg, [x])[0] == pytest.approx(maximal(f, [x])[0], abs=1e-9)
+
+
+def tent_primitive(t):
+    a = abs(t)
+    return math.copysign(a - 0.5 * a * a if a <= 1.0 else 0.5, t)
+
+
+def tent_average(x, r):
+    return (tent_primitive(x + r) - tent_primitive(x - r)) / (2.0 * r)
+
+
+def tent_maximal_exact(x):
+    """M tent(x) in closed form.  Between the breakpoints r = |x - k| of
+    the kinks k, the integral q(r) of the tent over [x - r, x + r] is a
+    quadratic a r^2 + b r + c, so the average q(r) / 2r peaks at a
+    breakpoint or where a r^2 = c.  Past the last breakpoint the ball
+    holds the whole tent and the average falls."""
+    ends = sorted({0.0} | {abs(x - k) for k in (-1.0, 0.0, 1.0)})
+    cands = [max(0.0, 1.0 - abs(x))] + [tent_average(x, r) for r in ends[1:]]
+    for lo, hi in zip(ends, ends[1:]):
+        rs = np.array([0.75 * lo + 0.25 * hi, 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi])
+        a, _, c = np.polyfit(rs, [2.0 * r * tent_average(x, r) for r in rs], 2)
+        if a != 0.0 and lo < math.sqrt(max(c / a, 0.0)) < hi:
+            cands.append(tent_average(x, math.sqrt(c / a)))
+    return max(cands)
+
+
+@pytest.mark.parametrize("x", [-1.1670830239421992, 1.1670830239421992, 0.25, 2.0])
+def test_tent_maximal_exact_at_fixed_points(x):
+    # +-1.167...: an adaptive 1D integral overestimated an average there by
+    # 1.8e-6
+    assert maximal(tent(), [x])[0] == pytest.approx(tent_maximal_exact(x), abs=1e-12)
+
+
+def test_tent_maximal_exact_at_seeded_points():
+    xs = np.random.default_rng(0).uniform(-3.0, 3.0, 40)
+    worst = max(abs(maximal(tent(), [x])[0] - tent_maximal_exact(x)) for x in xs)
+    assert worst <= 1e-10
+
+
+def test_undeclared_kinks_are_treated_as_smooth():
+    # the 1D contract: a function that declares no kinks is integrated as
+    # smooth, so 4-node pieces that straddle the tent's kinks lose accuracy
+    smooth = dataclasses.replace(tent(), kinks=())
+    xs = np.random.default_rng(1).uniform(-3.0, 3.0, 20)
+    declared = max(abs(maximal(tent(), [x])[0] - tent_maximal_exact(x)) for x in xs)
+    undeclared = max(abs(maximal(smooth, [x])[0] - tent_maximal_exact(x)) for x in xs)
+    assert declared <= 1e-10
+    assert 1e-8 < undeclared <= 1e-5
 
 
 def test_radii_continuity_near_two():
@@ -245,6 +301,29 @@ def test_unbounded_1d_field_keeps_inf_marker(spec, box):
     assert all(rs.radii[-1] == math.inf for rs in radii)
 
 
+def test_1d_fields_do_not_import_scipy_integrate():
+    # every 1D ball average is a shell profile: no adaptive quadrature
+    code = (
+        "import sys\n"
+        "from tangentia.funcspace import parse_function_spec as p\n"
+        "from tangentia.maxop import maximal_field\n"
+        "maximal_field(p('tent'), (-2.0, 2.0), 5)\n"
+        "maximal_field(p('dist[0,1.5]'), (-2.0, 3.0), 5)\n"
+        "maximal_field(p('infconv(tent,0.5)'), (-1.0, 1.0), 2, r_max=2.0)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    src = str(Path(tangentia.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"
+    assert done.stderr == ""
+
+
 def test_constant_3d_flat_radii():
     f = DirectionalFunction(
         evaluator=lambda x: 2.5,
@@ -269,7 +348,13 @@ def test_blowup_guard_3d():
         maximal(f, [0.0, 0.0, 0.0])
 
 
-_PROPERTY_SPECS = ("gauss(0.5,2)", "gauss(0.5,3)", "maxaffine[(1,0,0),(-1,0,0),(0,1,0)]")
+_PROPERTY_SPECS = (
+    "tent",
+    "maxaffine[(1,-1),(-1,-1),(0,-0.5)]",
+    "gauss(0.5,2)",
+    "gauss(0.5,3)",
+    "maxaffine[(1,0,0),(-1,0,0),(0,1,0)]",
+)
 
 
 @st.composite
@@ -289,6 +374,11 @@ def test_maximal_dominates_abs_f(case):
 
 @settings(max_examples=12, deadline=None)
 @given(_spec_and_point(), st.floats(0.0, 1.5), st.floats(0.0, 1.5))
+# the smallest positive lambda: a first radius of 5e-324 keeps its average
+@example(("tent", [0.3]), 5e-324, 0.0)
+@example(("tent", [0.0]), 5e-324, 1e-4)
+@example(("maxaffine[(1,-1),(-1,-1),(0,-0.5)]", [1.0]), 5e-324, 0.5)
+@example(("gauss(0.5,2)", [0.3, 0.1]), 5e-324, 1e-4)
 def test_maximal_nonincreasing_in_lambda(case, lam_a, lam_b):
     # the sup over [lam, r_max] can only fall as lam grows
     spec, x = case
