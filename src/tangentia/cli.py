@@ -173,7 +173,9 @@ def cmd_dirderiv(cfg: ExperimentConfig) -> int:
     x = _parse_point(o["point"])
     theta = _parse_point(o["theta"])
     if o["of"] == "maximal":
-        val = maxop.maximal_directional_derivative(f, x, theta, lam=o["lam"])
+        val = maxop.maximal_directional_derivative(
+            f, x, theta, lam=o["lam"], r_max=o["r_max"]
+        )
     else:
         val = nonsmooth.directional_derivative(f, x, theta)
     _write_json(o["out"], cfg, {"derivative": val})
@@ -638,6 +640,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--theta", required=True)
     sp.add_argument("--of", choices=["function", "maximal"], default="function")
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    sp.add_argument("--r-max", dest="r_max", type=float, default=None)
     sp.add_argument("--out", default=None)
     sp.set_defaults(func=cmd_dirderiv)
 

@@ -359,8 +359,8 @@ class QuadratureConfig:
     the same directions on annuli, with _GAP_NODES = 4 Gauss-Legendre
     radii per piece and pieces at most _MAX_PIECE = 5 % of their outer
     radius wide, cut at f's kinks.  Both the ball rule and the annuli are
-    evaluated at most _CHUNK_POINTS = 2^14 points at a time, a size that
-    keeps each batch in the L2 cache (see :func:`_annulus_integrals`).
+    evaluated at most _CHUNK_POINTS = 2^15 points at a time, a size that
+    keeps each batch near the L2 cache (see :func:`_annulus_integrals`).
     """
 
     radial_order: int = 32
@@ -389,7 +389,7 @@ DEFAULT_QUADRATURE = QuadratureConfig()
 _GAP_NODES = 4  # Gauss-Legendre nodes per annulus piece
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAP_NODES)
 _MAX_PIECE = 0.05  # widest annulus piece, relative to its outer radius
-_CHUNK_POINTS = 1 << 14  # shell points per batched evaluation
+_CHUNK_POINTS = 1 << 15  # shell points per batched evaluation
 
 
 @lru_cache(maxsize=32)
@@ -557,15 +557,18 @@ def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
     annuli are scale * lo < |y - x| < scale * hi, integrals / scale^n.
 
     The shell points are evaluated _CHUNK_POINTS // m radii at a time (m
-    directions), written into one coordinate buffer that the call reuses.
-    At 2^14 points a 3D chunk is 8 radii x 2,048 directions, 384 KiB of
-    coordinates; with the values and a batch evaluator's temporaries of
-    the same length it stays within a 2 MiB L2 cache, which 2^18 points
-    (6 MiB of coordinates alone) do not.  On a 3D maximal field of gauss,
-    on a 2-core Xeon with 2 MiB of L2 per core, 2^13 to 2^16 all ran
-    faster than 2^18, and 2^14 fastest (0.13 s a field against 0.18 s).
-    Below 2^13 a 3D chunk holds 2 radii, so the direction sums go through
-    another matrix-vector kernel and change in the last bits.
+    directions), written into one coordinate buffer that the call reuses:
+    one einsum writes every radius times every direction, then x is
+    added.  At 2^15 points a 3D chunk is 16 radii x 2,048 directions,
+    768 KiB of coordinates; with the values and a batch evaluator's
+    one-column temporaries it stays near a 2 MiB L2 cache, which 2^18
+    points (6 MiB of coordinates alone) do not.  On a 2-core Xeon with
+    2 MiB of L2 per core, the 512-radius grid of 3D gauss at two points
+    took, as medians of 30 interleaved repeats in each of four sweeps,
+    0.057-0.075 s at 2^15, 0.062-0.077 s at 2^14 and 0.068-0.090 s at
+    2^13 and 2^16; all four sizes give bitwise equal averages in 1D, 2D
+    and 3D.  Below 2^13 a 3D chunk holds 2 radii, so the direction sums
+    go through another matrix-vector kernel and change in the last bits.
 
     A chunk is checked through its direction sums: the weights are
     positive, so a non-finite value leaves its radius's sum non-finite,
@@ -603,7 +606,7 @@ def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
         # array, so per-coordinate work in a batch evaluator (sums of
         # squares, differences) reads unit strides
         coords = buf[: n * k * m].reshape(n, k, m)
-        np.multiply(scaled[None, i : i + k, None], dirs_t[:, None, :], out=coords)
+        np.einsum("k,cm->ckm", scaled[i : i + k], dirs_t, out=coords)
         coords += x[:, None, None]
         pts = coords.reshape(n, -1).T
         vals = f.evaluate_many(pts)
@@ -734,7 +737,13 @@ def make_gauss(s: float, n: int = 1) -> DirectionalFunction:
         return math.exp(-0.5 * inv * float(x @ x))
 
     def batch(pts):
-        return np.exp(-0.5 * inv * np.sum(pts * pts, axis=1))
+        # column by column: no (N, n) temporary, the same additions in the
+        # same order as np.sum(pts * pts, axis=1)
+        q = np.square(pts[:, 0])
+        for j in range(1, n):
+            q += np.square(pts[:, j])
+        q *= -0.5 * inv
+        return np.exp(q, out=q)
 
     def deriv(x, theta):
         return float((-inv * x @ theta) * ev(x))

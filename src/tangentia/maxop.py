@@ -245,13 +245,15 @@ def maximal_directional_derivative(
     x,
     theta,
     lam: float = 0.0,
+    r_max: Optional[float] = None,
 ) -> float:
     """Envelope formula: sup over the best radii of the shell derivative.
 
     r = 0 contributes the one-sided derivative of |f| itself; r = inf
     contributes 0 (the point is then a global minimum of the maximal
     function).  At lam = 0 the formula is only claimed where f is
-    differentiable, which is checked up front.
+    differentiable, which is checked up front.  The radii are searched
+    up to r_max, as in :func:`maximal`.
     """
     x = _point(x, f.dimension)
     unit = _direction(theta, f.dimension)
@@ -263,7 +265,7 @@ def maximal_directional_derivative(
                 f"envelope formula at lambda=0 needs f differentiable at "
                 f"{tuple(x)}; residual {t.value:.3e} >= {_DIFFERENTIABILITY_TOL}"
             )
-    _, rset = maximal(f, x, lam)
+    _, rset = maximal(f, x, lam, r_max)
     contributions = []
     for r in rset.radii:
         if r == 0.0:

@@ -237,6 +237,22 @@ def test_grid_function_outside_its_samples_exits_1(tmp_path, capsys):
     assert run(argv + ["--r-max", "2"]) == 0
 
 
+def test_dirderiv_of_maximal_on_grid_function_takes_r_max(tmp_path, capsys):
+    grid = tmp_path / "g.csv"
+    GridFunction.from_function(
+        make_gauss(0.5, 2), [-3.0, -3.0], [3.0, 3.0], (41, 41)
+    ).to_csv(grid)
+    out = tmp_path / "d.json"
+    argv = ["dirderiv", "--function", f"grid:{grid}", "--point", "0.5,0.5",
+            "--theta", "1,0", "--of", "maximal", "--out", str(out)]
+    # the default r_max leaves the sample box
+    assert run(argv) == 1
+    assert "--r-max" in capsys.readouterr().err
+    assert run(argv + ["--r-max", "2.5"]) == 0
+    derivative = json.loads(out.read_text())["result"]["derivative"]
+    assert abs(derivative - (-2.0 / math.e)) < 0.01
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 

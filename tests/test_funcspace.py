@@ -334,6 +334,90 @@ def test_ball_average_radii_affine_is_center_value(case):
     assert np.all(np.abs(out - fx) <= 1e-12 * (1.0 + abs(fx)))
 
 
+@settings(max_examples=90)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3),
+    st.floats(-5.0, 5.0),
+    st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3),
+    st.floats(1e-3, 30.0),
+)
+def test_ball_average_of_affine_is_center_value(n, a, c, x, r):
+    a, x = np.array(a[:n]), np.array(x[:n])
+    f = DirectionalFunction(
+        evaluator=lambda y: float(a @ y + c),
+        dimension=n,
+        batch_evaluator=lambda p: p @ a + c,
+    )
+    fx = float(a @ x + c)
+    tol = 1e-13 * (1.0 + abs(fx) + r * float(np.linalg.norm(a)))
+    assert abs(ball_average(f, x, r) - fx) <= tol
+
+
+def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0):
+    """funcspace._annulus_integrals with the broadcast coordinate fill."""
+    n = f.dimension
+    dirs, wdir = funcspace._ball_directions(
+        n, quadrature.radial_order, quadrature.angular_order
+    )
+    m = len(dirs)
+    pieces = np.maximum(1, np.ceil((hi - lo) / (funcspace._MAX_PIECE * hi))).astype(int)
+    gap = np.repeat(np.arange(len(lo)), pieces)
+    j = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    step = (hi - lo)[gap] / pieces[gap]
+    a = lo[gap] + j * step
+    b = np.where(j == pieces[gap] - 1, hi[gap], a + step)
+    if f.kinks:
+        cuts = np.abs(np.asarray(f.kinks) - x[0])
+        cuts = cuts[(cuts > scale * lo[0]) & (cuts < scale * hi[-1])] / scale
+        ends = np.union1d(np.append(a, hi[-1]), cuts)
+        a, b = ends[:-1], ends[1:]
+        gap = np.searchsorted(hi, a, side="right")
+    half = 0.5 * (b - a)
+    s = ((0.5 * (a + b))[:, None] + half[:, None] * funcspace._GL_NODES).ravel()
+    shell = np.empty(len(s))
+    per_chunk = max(1, funcspace._CHUNK_POINTS // m)
+    for i in range(0, len(s), per_chunk):
+        k = min(per_chunk, len(s) - i)
+        coords = np.empty((n, k, m))
+        np.multiply((s * scale)[None, i : i + k, None], dirs.T[:, None, :], out=coords)
+        coords += x[:, None, None]
+        vals = f.evaluate_many(coords.reshape(n, -1).T)
+        shell[i : i + k] = vals.reshape(-1, m) @ wdir
+    radial = (s ** (n - 1) * shell).reshape(-1, funcspace._GAP_NODES) @ funcspace._GL_WEIGHTS
+    return np.bincount(gap, weights=half * radial, minlength=len(lo))
+
+
+@pytest.mark.parametrize(
+    "f, x, scale",
+    [
+        (funcspace.make_tent(), [0.3], 1.0),
+        (funcspace.make_tent(), [-0.45], 0.7),
+        (make_maxaffine([[1.0, 0.5], [-1.0, 0.2], [0.0, -1.0]], [0.0, 0.1, 0.2]), [0.2, -0.3], 1.0),
+        (make_gauss(0.5, 2), [0.7, 0.4], 1.0),
+        (make_gauss(0.5, 3), [1.3, 0.2, -0.1], 1.0),
+    ],
+    ids=["tent", "tent-scaled", "maxaffine-2d", "gauss-2d", "gauss-3d"],
+)
+def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
+    x = np.array(x)
+    radii = np.geomspace(1e-3, 20.0, 64)
+    lo, hi = radii[:-1], radii[1:]
+    got = funcspace._annulus_integrals(f, x, lo, hi, DEFAULT_QUADRATURE, scale)
+    want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale)
+    assert np.all(got == want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gauss_batch_matches_row_sums_bitwise(n):
+    s = 0.37
+    inv = 1.0 / (s * s)
+    pts = np.random.default_rng(n).normal(scale=3.0, size=(10_000, n))
+    batch = make_gauss(s, n).batch_evaluator
+    for p in (pts, np.ascontiguousarray(pts.T).T):  # C-ordered, coordinate-major
+        assert np.all(batch(p) == np.exp(-0.5 * inv * np.sum(p * p, axis=1)))
+
+
 @st.composite
 def _gauss_cases(draw):
     n = draw(st.sampled_from([1, 2, 3]))
