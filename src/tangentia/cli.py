@@ -172,6 +172,9 @@ def cmd_dirderiv(cfg: ExperimentConfig) -> int:
     f = funcspace.parse_function_spec(o["function"])
     x = _parse_point(o["point"])
     theta = _parse_point(o["theta"])
+    for flag, key, default in (("--lambda", "lam", 0.0), ("--r-max", "r_max", None)):
+        if o["of"] == "function" and o[key] != default:
+            raise SpecParseError(f"{flag} applies only with --of maximal", 0)
     if o["of"] == "maximal":
         val = maxop.maximal_directional_derivative(
             f, x, theta, lam=o["lam"], r_max=o["r_max"]

@@ -36,7 +36,7 @@ from .funcspace import (
     ball_average_radii,
     sphere_average_derivative,
 )
-from .nonsmooth import directional_derivative, tau
+from .nonsmooth import DEFAULT_LADDER, directional_derivative, tau
 from .semilinear import full_space
 
 __all__ = [
@@ -170,7 +170,7 @@ def maximal(
     avgs = ball_average_radii(absf, x, grid)
     if np.max(avgs) > _OVERFLOW_GUARD:
         raise MaximalBlowupError(
-            f"ball averages exceed the overflow guard at x={tuple(x)}: "
+            f"ball averages exceed the overflow guard at x={x.tolist()}: "
             "the maximal function is infinite there"
         )
 
@@ -252,18 +252,19 @@ def maximal_directional_derivative(
     r = 0 contributes the one-sided derivative of |f| itself; r = inf
     contributes 0 (the point is then a global minimum of the maximal
     function).  At lam = 0 the formula is only claimed where f is
-    differentiable, which is checked up front.  The radii are searched
-    up to r_max, as in :func:`maximal`.
+    differentiable, which is checked up front (tau, fitted at its last
+    rung only).  The radii are searched up to r_max, as in :func:`maximal`.
     """
     x = _point(x, f.dimension)
     unit = _direction(theta, f.dimension)
     absf = absolute(f)
     if lam == 0.0:
-        t = tau(f, x, full_space(f.dimension), max(8, 2 * f.dimension))
-        if t.value >= _DIFFERENTIABILITY_TOL:
+        n = f.dimension
+        t = tau(f, x, full_space(n), max(8, 2 * n), DEFAULT_LADDER[-1:]).value
+        if t >= _DIFFERENTIABILITY_TOL:
             raise ValueError(
                 f"envelope formula at lambda=0 needs f differentiable at "
-                f"{tuple(x)}; residual {t.value:.3e} >= {_DIFFERENTIABILITY_TOL}"
+                f"{x.tolist()}; residual {t:.3e} >= {_DIFFERENTIABILITY_TOL}"
             )
     _, rset = maximal(f, x, lam, r_max)
     contributions = []

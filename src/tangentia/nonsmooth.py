@@ -6,7 +6,10 @@ The measure of non-differentiability at x over a semi-linear W is the
 inf over linear maps L of the worst relative error |f(x+w)-f(x)-L(w)|/|w|
 for small w in W.  Numerically this becomes, per radius rung, a minimax
 (Chebyshev) linear fit over sampled unit directions of W; the reported
-value is the smallest rung's residual (no extrapolation to 0).
+value is the smallest rung's residual (no extrapolation to 0).  The
+degree search ``gamma`` reads that value at one radius, so it fits only
+there, and gives up on a candidate as soon as a least-squares bound
+shows its residual reaching the tolerance.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ DEFAULT_LADDER = 0.5 * 0.5 ** np.arange(12)
 _CERTIFY_TOL = 1e-11
 
 
-def minimax_fit(A: np.ndarray, y: np.ndarray):
+def minimax_fit(A: np.ndarray, y: np.ndarray, tol: float = math.inf):
     """Minimize over c the uniform error max_i |y_i - A_i . c|.
 
     The least-squares fit is returned when its max residual is within
@@ -66,6 +69,11 @@ def minimax_fit(A: np.ndarray, y: np.ndarray):
     that the solver's absolute tolerances act relative to them; the
     better of the two fits is returned.  Returns (coefficients, max
     residual).
+
+    A finite tol stops early: when the RMS of the least-squares residual,
+    also a lower bound on the optimum, reaches tol (with the _CERTIFY_TOL
+    margin against rounding), the least-squares fit and that RMS are
+    returned instead.
     """
     A = np.asarray(A, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -74,6 +82,10 @@ def minimax_fit(A: np.ndarray, y: np.ndarray):
         return np.zeros(d), float(np.max(np.abs(y))) if m else 0.0
     c, *_ = np.linalg.lstsq(A, y, rcond=None)
     r = y - A @ c
+    if tol < math.inf:
+        rms = float(np.sqrt(np.mean(np.square(r))))
+        if rms >= tol * (1.0 + _CERTIFY_TOL):
+            return c, rms
     best = float(np.max(np.abs(r)))
     gap = best - float(np.mean(np.abs(r)))
     if gap <= _CERTIFY_TOL * (1.0 + float(np.max(np.abs(y)))):
@@ -124,46 +136,29 @@ def quotient_ladder(f: DirectionalFunction, x, theta, ladder=None) -> np.ndarray
     return (f.evaluate_many(pts) - fx) / ladder
 
 
-@dataclass(frozen=True)
-class DerivativeEstimate:
-    value: float
-    numeric: float
-    from_oracle: bool
-    quotients: Tuple[float, ...]
-
-
 # the last three extrapolated rungs must agree within this spread
 _SETTLE_SPREAD = 1e-2
 
 
-def directional_derivative_detail(
-    f: DirectionalFunction, x, theta
-) -> DerivativeEstimate:
-    """One-sided directional derivative with the rung trace attached, from
-    the quotients on DEFAULT_LADDER."""
+def directional_derivative(f: DirectionalFunction, x, theta) -> float:
+    """One-sided directional derivative: the oracle of f when it has one,
+    else extrapolated from the quotients on DEFAULT_LADDER."""
     x = _point(x, f.dimension)
     theta = _direction(theta, f.dimension)
+    if f.derivative is not None:
+        return float(f.derivative(x, theta))
     q = quotient_ladder(f, x, theta)
     # one-sided quotients carry an O(r) error term; the rungs halve, so
     # eliminate it pairwise
     extrap = 2.0 * q[1:] - q[:-1]
-    numeric = float(extrap[-1])
-    if f.derivative is not None:
-        return DerivativeEstimate(
-            float(f.derivative(x, theta)), numeric, True, tuple(q)
-        )
     tail = extrap[-3:]
     if float(np.max(tail) - np.min(tail)) > _SETTLE_SPREAD:
         raise LadderDivergenceError(
-            f"directional quotient ladder did not settle at {tuple(x)} "
+            f"directional quotient ladder did not settle at {x.tolist()} "
             f"(tail spread {np.max(tail) - np.min(tail):.3e})",
             q,
         )
-    return DerivativeEstimate(numeric, numeric, False, tuple(q))
-
-
-def directional_derivative(f: DirectionalFunction, x, theta) -> float:
-    return directional_derivative_detail(f, x, theta).value
+    return float(extrap[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -231,15 +226,14 @@ def tau(
 class GammaBudget:
     """Sampling budget for the degree search.
 
-    ``ladder`` defaults to DEFAULT_LADDER; only its last rung decides,
-    as in ``tau``, whose value is the smallest rung's residual.
+    Every residual is tau's value for a ladder whose last rung is
+    ``radius``; the default is DEFAULT_LADDER's last rung.
     """
 
     candidates_per_dim: int = 64
     b_per_candidate: int = 32
     directions: int = 24
-    ladder: Optional[np.ndarray] = None
-    seed: int = 0
+    radius: float = float(DEFAULT_LADDER[-1])
 
 
 @dataclass(frozen=True)
@@ -247,7 +241,6 @@ class GammaEstimate:
     degree: int
     witness: SemiLinearSubspace
     worst_residual: float
-    tolerance: float
 
 
 _N_PROBES = 16  # gradient probes around x
@@ -256,7 +249,7 @@ _FD_H = 1e-6  # central-difference step of a probe gradient
 _CLUSTER_TOL = 1e-3  # gradients closer than this are one smooth piece
 
 
-def kink_normals(f: DirectionalFunction, x, seed: int = 0) -> list:
+def kink_normals(f: DirectionalFunction, x) -> list:
     """Candidate kink normals from clustering nearby gradient estimates.
 
     Gradients are sampled _N_PROBES times at distance _PROBE_RADIUS from
@@ -266,7 +259,7 @@ def kink_normals(f: DirectionalFunction, x, seed: int = 0) -> list:
     """
     x = _point(x, f.dimension)
     n = f.dimension
-    probes = sample_unit_vectors(full_space(n), _N_PROBES, seed)
+    probes = sample_unit_vectors(full_space(n), _N_PROBES, 0)
     p = x + _PROBE_RADIUS * probes
     step = _FD_H * np.eye(n)
     # every probe's 2n central-difference points in one batch
@@ -302,9 +295,9 @@ def _complement_basis(n: int, vectors) -> np.ndarray:
     return vt[rank:].T
 
 
-def _candidate_subspaces(n: int, k: int, normals, count: int, seed: int):
+def _candidate_subspaces(n: int, k: int, normals, count: int):
     """Structured (kink-normal-orthogonal) then quasi-random k-subspaces."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     cands = []
 
     def push(vectors):
@@ -338,22 +331,14 @@ def _candidate_subspaces(n: int, k: int, normals, count: int, seed: int):
     return cands[:count]
 
 
-def _last_rung_residual(f, x, fx, W, n_dir, r, tol=math.inf) -> float:
+def _tau_value(f, x, fx, W, n_dir, r, tol) -> float:
     """tau(f, x, W, n_dir, ladder).value for a ladder whose last rung is r,
-    wherever that value is below tol.
-
-    The RMS of the least-squares residual bounds the minimax residual from
-    below; when it reaches tol, with the _CERTIFY_TOL margin against
-    rounding, the bound is returned and no minimax fit is made.
-    """
+    wherever that value is below tol; at or above tol, a lower bound that
+    reaches it (see minimax_fit)."""
     dirs = sample_unit_vectors(W, n_dir, 0)
     A = dirs @ W.span_basis()
     q = (f.evaluate_many(x[None, :] + r * dirs) - fx) / r
-    c, *_ = np.linalg.lstsq(A, q, rcond=None)
-    rms = float(np.sqrt(np.mean(np.square(q - A @ c))))
-    if rms >= tol * (1.0 + _CERTIFY_TOL):
-        return rms
-    return minimax_fit(A, q)[1]
+    return minimax_fit(A, q, tol)[1]
 
 
 def gamma(
@@ -368,34 +353,30 @@ def gamma(
     quasi-random; each surviving V must keep the residual below tol for
     V itself and for V + cone(b) over the sampled b battery.  Ties at a
     dimension break toward the smallest worst-b residual.  Each residual
-    is tau's value, so only the last ladder rung is fitted, and a
-    candidate whose least-squares bound already reaches tol is rejected
-    without a minimax fit.
+    is tau's value at the one radius ``budget.radius``, from one minimax
+    fit, and a candidate whose least-squares bound already reaches tol
+    is rejected without the minimax step.
     """
     _positive_tol(tol)
     if budget is None:
         budget = GammaBudget()
     x = _point(x, f.dimension)
     n = f.dimension
-    ladder = DEFAULT_LADDER if budget.ladder is None else budget.ladder
-    r = np.asarray(ladder, dtype=float)[-1]
+    r = budget.radius
     fx = f(x)
     n_dir = max(budget.directions, 2 * n)
 
-    t_full = _last_rung_residual(f, x, fx, full_space(n), n_dir, r, tol)
+    t_full = _tau_value(f, x, fx, full_space(n), n_dir, r, tol)
     if t_full < tol:
-        return GammaEstimate(n, full_space(n), t_full, tol)
+        return GammaEstimate(n, full_space(n), t_full)
 
-    normals = kink_normals(f, x, seed=budget.seed)
-    b_dirs = sample_unit_vectors(full_space(n), budget.b_per_candidate, budget.seed + 1)
+    normals = kink_normals(f, x)
+    b_dirs = sample_unit_vectors(full_space(n), budget.b_per_candidate, 1)
 
     for k in range(n - 1, 0, -1):
         best = None
-        cands = _candidate_subspaces(
-            n, k, normals, budget.candidates_per_dim, budget.seed
-        )
-        for V in cands:
-            worst = _last_rung_residual(f, x, fx, V, n_dir, r, tol)
+        for V in _candidate_subspaces(n, k, normals, budget.candidates_per_dim):
+            worst = _tau_value(f, x, fx, V, n_dir, r, tol)
             if worst >= tol:
                 continue
             ok = True
@@ -403,7 +384,7 @@ def gamma(
                 H = halfspace(V, b)
                 if not H.rays:  # b landed in V: same subspace, already tested
                     continue
-                tH = _last_rung_residual(f, x, fx, H, n_dir, r, tol)
+                tH = _tau_value(f, x, fx, H, n_dir, r, tol)
                 worst = max(worst, tH)
                 if tH >= tol:
                     ok = False
@@ -411,14 +392,13 @@ def gamma(
             if ok and (best is None or worst < best[1]):
                 best = (V, worst)
         if best is not None:
-            return GammaEstimate(k, best[0], best[1], tol)
+            return GammaEstimate(k, best[0], best[1])
 
-    trivial = semilinear(n, [], [])
     worst = 0.0
     for b in b_dirs:
         ray = semilinear(n, [], [b])
-        worst = max(worst, _last_rung_residual(f, x, fx, ray, max(4, 2 * n), r))
-    return GammaEstimate(0, trivial, worst, tol)
+        worst = max(worst, _tau_value(f, x, fx, ray, max(4, 2 * n), r, math.inf))
+    return GammaEstimate(0, semilinear(n, [], []), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +429,8 @@ def singular_scan(
     lies within half a cell of a true kink of a piecewise-smooth f.
     Quotient magnitudes above _SF_THRESHOLD flag singular-set
     membership.  Flagged points are annotated with the differentiability
-    degree, from a small fixed gamma budget on the finest rung.
+    degree, from a small fixed gamma budget at the finest rung's radius,
+    half a cell.
     """
     _positive_tol(tol)
     n = f.dimension
@@ -463,27 +444,23 @@ def singular_scan(
 
     fvals = f.evaluate_many(pts)
     P = pts.shape[0]
-    ls_res = np.zeros(P)
     max_q = np.zeros(P)
-    Q_small = None
     for r in ladder:
         shifted = (pts[:, None, :] + r * dirs[None, :, :]).reshape(-1, n)
         Q = (f.evaluate_many(shifted).reshape(P, n_dir) - fvals[:, None]) / r
-        coeff = Q @ pinv.T
-        res = np.max(np.abs(Q - coeff @ A.T), axis=1)
-        ls_res = res  # smallest rung last
         max_q = np.maximum(max_q, np.max(np.abs(Q), axis=1))
-        Q_small = Q
+    # Q holds the smallest rung, the only one whose residual is read
+    ls_res = np.max(np.abs(Q - (Q @ pinv.T) @ A.T), axis=1)
 
     sf = max_q > _SF_THRESHOLD
     candidates = np.flatnonzero((ls_res >= tol) | sf)
     gamma_budget = GammaBudget(
-        candidates_per_dim=8, b_per_candidate=8, directions=n_dir, ladder=ladder[-1:]
+        candidates_per_dim=8, b_per_candidate=8, directions=n_dir, radius=0.5 * cell
     )
     out = []
     for i in candidates:
         # least-squares residual only upper-bounds the minimax one
-        _, exact = minimax_fit(A, Q_small[i])
+        _, exact = minimax_fit(A, Q[i])
         if exact < tol and not sf[i]:
             continue
         if annotate_gamma:

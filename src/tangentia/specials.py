@@ -115,7 +115,7 @@ def nearest_set(A: ClosedSetModel, x) -> Tuple[float, List[np.ndarray]]:
     dmin = float(np.min(d))
     if dmin <= _ON_SET_TOL:
         raise ValueError(
-            f"point {tuple(x)} lies on the set (distance {dmin:.3e}); "
+            f"point {x.tolist()} lies on the set (distance {dmin:.3e}); "
             "the distance function is defined off the set only"
         )
     return dmin, _close_points(cands[0], d[0], dmin, _NEAREST_REL_TOL)

@@ -101,6 +101,29 @@ def test_zero_direction_exits_1(of, capsys):
     assert "nonzero" in capsys.readouterr().err
 
 
+def test_envelope_refusal_names_the_point(capsys):
+    rc = run(["dirderiv", "--function", "abs", "--point", "0", "--theta", "1",
+              "--of", "maximal"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "needs f differentiable at [0.0]; residual" in err
+    assert "np.float64" not in err
+
+
+@pytest.mark.parametrize("flag", [["--lambda", "7"], ["--r-max", "0.001"]])
+def test_maximal_flags_refused_with_of_function(flag, tmp_path, capsys):
+    out = tmp_path / "d.json"
+    argv = ["dirderiv", "--function", "tent", "--point", "0.5", "--theta", "1",
+            "--out", str(out)]
+    assert run(argv + flag) == 2
+    err = capsys.readouterr().err
+    assert f"{flag[0]} applies only with --of maximal" in err
+    assert not out.exists()
+    # the default value asks for nothing
+    assert run(argv + ["--lambda", "0"]) == 0
+    assert out.exists()
+
+
 def test_gauss_dimension_parse_error_exits_2(capsys):
     rc = run(
         ["dirderiv", "--function", "gauss(0.5,4)", "--point", "0", "--theta", "1"]

@@ -22,6 +22,8 @@ from tangentia.maxop import (
     maximal_directional_derivative,
     maximal_field,
 )
+from tangentia.nonsmooth import tau
+from tangentia.semilinear import full_space
 
 SQRT7 = math.sqrt(7.0)
 MF2 = (3.0 - SQRT7) / 2.0
@@ -167,7 +169,7 @@ def test_blowup_guard():
         batch_evaluator=lambda p: 1e13 / (1.0 + p[:, 0] ** 2),
         support=(np.array([-1.0]), np.array([1.0])),
     )
-    with pytest.raises(MaximalBlowupError):
+    with pytest.raises(MaximalBlowupError, match=r"at x=\[0\.0\]: "):
         maximal(f, [0.0])
 
 
@@ -417,6 +419,21 @@ def test_envelope_constant_zero():
 def test_envelope_refuses_at_kink_when_lambda_zero():
     with pytest.raises(ValueError):
         maximal_directional_derivative(tent(), [1.0], [1.0])
+
+
+@pytest.mark.parametrize(
+    "spec, x", [("tent", [1.0]), ("maxaffine[(1,0,0),(-1,0,0)]", [0.0, 0.3])]
+)
+def test_envelope_refusal_names_tau_value(spec, x):
+    # the gate fits tau only at its last rung; the residual it reports is
+    # the full ladder's value
+    f = parse_function_spec(spec)
+    n = f.dimension
+    t = tau(f, x, full_space(n), max(8, 2 * n)).value
+    theta = np.eye(n)[0]
+    with pytest.raises(ValueError) as err:
+        maximal_directional_derivative(f, x, theta)
+    assert f"differentiable at {x}; residual {t:.3e} >= " in str(err.value)
 
 
 def test_envelope_zero_direction_rejected():

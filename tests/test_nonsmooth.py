@@ -13,7 +13,6 @@ from tangentia.nonsmooth import (
     GammaBudget,
     difference_quotient,
     directional_derivative,
-    directional_derivative_detail,
     gamma,
     minimax_fit,
     quotient_ladder,
@@ -174,24 +173,28 @@ def test_directional_derivative_numeric_without_oracle():
     # strip the oracle; the Richardson ladder must still find the slope
     tent = parse_function_spec("tent")
     bare = DirectionalFunction(evaluator=tent.evaluator, dimension=1)
-    d = directional_derivative_detail(bare, [0.5], [1.0])
-    assert not d.from_oracle
-    assert d.value == pytest.approx(-1.0, abs=1e-8)
+    assert directional_derivative(bare, [0.5], [1.0]) == pytest.approx(-1.0, abs=1e-6)
 
 
-def test_directional_derivative_oracle_records_numeric():
+def test_directional_derivative_returns_oracle():
+    # with an oracle no quotient is taken: f is never evaluated
     tent = parse_function_spec("tent")
-    d = directional_derivative_detail(tent, [0.5], [1.0])
-    assert d.from_oracle
-    assert d.value == -1.0
-    assert d.numeric == pytest.approx(-1.0, abs=1e-6)
+    calls = []
+
+    def counted(x):
+        calls.append(1)
+        return tent.evaluator(x)
+
+    f = DirectionalFunction(evaluator=counted, dimension=1, derivative=tent.derivative)
+    assert directional_derivative(f, [0.5], [1.0]) == -1.0
+    assert calls == []
 
 
 def test_directional_derivative_oracle_non_finite_point_rejected():
     # the oracle would answer at nan; the point is checked before it is asked
     tent = parse_function_spec("tent")
     with pytest.raises(ValueError, match="finite"):
-        directional_derivative_detail(tent, [math.nan], [1.0])
+        directional_derivative(tent, [math.nan], [1.0])
 
 
 def test_directional_derivative_of_pointwise_max():
@@ -235,7 +238,8 @@ def test_ladder_divergence_detected():
     f = DirectionalFunction(
         evaluator=lambda x: math.sqrt(abs(float(x[0]))), dimension=1
     )
-    with pytest.raises(LadderDivergenceError):
+    # the message names the point as plain floats
+    with pytest.raises(LadderDivergenceError, match=r"settle at \[0\.0\] "):
         directional_derivative(f, [0.0], [1.0])
 
 
@@ -251,7 +255,7 @@ def test_zero_direction_rejected():
     with pytest.raises(ValueError, match="nonzero"):
         quotient_ladder(f, [0.5], [0.0])
     with pytest.raises(ValueError, match="nonzero"):
-        directional_derivative_detail(f, [0.5], [0.0])
+        directional_derivative(f, [0.5], [0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -414,34 +418,80 @@ def test_gamma_monotone_in_tol():
     assert degrees == sorted(degrees)
 
 
-def _estimate(est):
-    return (est.degree, est.witness.basis.tobytes(),
-            [r.tobytes() for r in est.witness.rays], est.worst_residual)
-
-
 @pytest.mark.parametrize("x, degree", [([0.0, 0.3], 1), ([0.4, -0.2], 2)])
 def test_gamma_decided_by_last_rung(x, degree):
     f = abs_x1_2d()
     L = nonsmooth.DEFAULT_LADDER
-    est = gamma(f, x, budget=GammaBudget(ladder=L))
+    assert GammaBudget().radius == L[-1]
+    est = gamma(f, x, budget=GammaBudget(radius=L[-1]))
     assert est.degree == degree
-    assert _estimate(est) == _estimate(gamma(f, x, budget=GammaBudget(ladder=L[-1:])))
     if degree == 2:  # the full space: tau's value, bitwise
         assert est.worst_residual == tau(f, x, full_space(2), 24, L).value
 
 
-def _linprog_counter(monkeypatch):
-    import scipy.optimize
-
+def _counter(monkeypatch, owner, name):
+    """Count the calls of owner.name."""
     calls = []
-    real = scipy.optimize.linprog
+    real = getattr(owner, name)
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(scipy.optimize, "linprog", counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def _linprog_counter(monkeypatch):
+    import scipy.optimize
+
+    return _counter(monkeypatch, scipy.optimize, "linprog")
+
+
+def test_gamma_fits_each_residual_once(monkeypatch):
+    # a candidate that passes the least-squares bound goes on to its
+    # minimax fit on the same least-squares solution
+    residuals = _counter(monkeypatch, nonsmooth, "_tau_value")
+    lstsq = _counter(monkeypatch, np.linalg, "lstsq")
+    assert gamma(abs_x1_2d(), [0.0, 0.3]).degree == 1
+    assert residuals
+    assert len(lstsq) <= len(residuals)
+
+
+def _misfit_data():
+    """Data whose minimax fit needs the LP: least squares is not optimal."""
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((24, 2))
+    return A, np.abs(rng.standard_normal(24))
+
+
+def _rms(A, y):
+    c, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return c, float(np.sqrt(np.mean(np.square(y - A @ c))))
+
+
+def test_minimax_fit_tol_below_the_bound_is_the_full_fit(monkeypatch):
+    # the bound is the least-squares RMS; tol = rms stays below it by the
+    # _CERTIFY_TOL margin
+    A, y = _misfit_data()
+    c, res = minimax_fit(A, y)
+    _, rms = _rms(A, y)
+    calls = _linprog_counter(monkeypatch)
+    for tol in (2.0 * res, rms):
+        c_tol, res_tol = minimax_fit(A, y, tol)
+        assert c_tol.tobytes() == c.tobytes() and res_tol == res
+    assert len(calls) == 2  # each full fit solved its LP
+
+
+def test_minimax_fit_tol_at_the_bound_returns_the_rms(monkeypatch):
+    A, y = _misfit_data()
+    c_ls, rms = _rms(A, y)
+    calls = _linprog_counter(monkeypatch)
+    for tol in (rms * (1.0 - 2.0 * nonsmooth._CERTIFY_TOL), 0.5 * rms):
+        c, res = minimax_fit(A, y, tol)
+        assert res == rms and c.tobytes() == c_ls.tobytes()
+    assert calls == []
+    assert minimax_fit(A, y)[1] > rms
 
 
 def test_rejected_candidates_make_no_lp(monkeypatch):

@@ -58,7 +58,7 @@ def test_nearest_outside_corner_counts_shared_vertex_once():
 
 def test_nearest_on_set_rejected():
     A = ClosedSetModel.from_points([[0.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"point \[0\.0, 0\.0\] lies on the set"):
         nearest_set(A, [0.0, 0.0])
 
 
