@@ -20,11 +20,12 @@ class NumericDomainError(TangentiaError):
 
 
 class SpecParseError(TangentiaError):
-    """Syntax error in the function-spec mini-language."""
+    """Syntax error in a function spec (at a position), or a usage error."""
 
-    def __init__(self, message, position):
+    def __init__(self, message, position=None):
         self.position = position
-        super().__init__(f"{message} (at position {position})")
+        at = "" if position is None else f" (at position {position})"
+        super().__init__(message + at)
 
 
 class LadderDivergenceError(TangentiaError):

@@ -27,7 +27,7 @@ __all__ = [
     "sample_unit_vectors",
 ]
 
-_ANGULAR_TOL = 1e-10
+_ANGULAR_TOL = 1e-10  # a ray this close to V, or to another ray, is merged
 _MEMBER_TOL = 1e-9  # membership residual, relative to 1 + |w|
 _HC_SAMPLES = 720  # unit directions per set of the Hausdorff distance
 _GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
@@ -158,7 +158,6 @@ def semilinear(
     dimension: int,
     basis_vectors: Sequence = (),
     rays: Sequence = (),
-    angular_tol: float = _ANGULAR_TOL,
 ) -> SemiLinearSubspace:
     """Build the canonical form of span(basis_vectors) + cone(rays).
 
@@ -193,7 +192,7 @@ def semilinear(
                 continue  # degenerate ray, dropped
             r = r / nrm
             perp = r - (B @ (B.T @ r) if B.shape[1] else 0.0)
-            if np.linalg.norm(perp) <= angular_tol:
+            if np.linalg.norm(perp) <= _ANGULAR_TOL:
                 continue  # lies in V
             out.append(r)
         return out
@@ -210,11 +209,11 @@ def semilinear(
                 pi = pi / np.linalg.norm(pi)
                 pj = pj / np.linalg.norm(pj)
                 cosang = float(pi @ pj)
-                if cosang > 1.0 - angular_tol:
+                if cosang > 1.0 - _ANGULAR_TOL:
                     del ray_vecs[j]
                     changed = True
                     break
-                if cosang < -1.0 + angular_tol:
+                if cosang < -1.0 + _ANGULAR_TOL:
                     B = orthobasis(
                         [B[:, k] for k in range(B.shape[1])] + [pi]
                     )

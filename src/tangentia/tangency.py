@@ -23,6 +23,7 @@ __all__ = [
     "TangencyReport",
     "fit_tangent",
     "is_k_tangential",
+    "base_reports",
     "sigma_decompose",
     "SigmaPiece",
     "load_point_cloud",
@@ -242,6 +243,23 @@ def is_k_tangential(points, x, V, eta: float = 0.2) -> TangencyReport:
     )
 
 
+def base_reports(points, k: int, bases, eta: float) -> List[TangencyReport]:
+    """``is_k_tangential`` at each points[b], b in `bases`, along its k-dim
+    ``fit_tangent``; a base whose fit is refused is skipped, a k outside
+    1..n raises before any base is tried."""
+    points = _cloud(points)
+    _check_k(k, points.shape[1])
+    reports = []
+    for b in bases:
+        x = points[b]
+        try:
+            V = fit_tangent(points, x, k)
+        except ValueError:
+            continue
+        reports.append(is_k_tangential(points, x, V, eta=eta))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # sigma decomposition
 
@@ -271,8 +289,8 @@ def _principal_angle(V: np.ndarray, W: np.ndarray) -> float:
     return float(np.arccos(np.min(s)))
 
 
-def _local_direction(points, i, k, m=12, iters=4):
-    """Robust tangent at points[i] from its m nearest neighbours.
+def _local_direction(points, i, k):
+    """Robust tangent at points[i] from its _NEIGHBOURS nearest neighbours.
 
     Iteratively downweights off-manifold neighbours (weights
     1/(eps + perp^2)) so crossings don't blend the two branches.
@@ -280,7 +298,7 @@ def _local_direction(points, i, k, m=12, iters=4):
     x = points[i]
     d = np.linalg.norm(points - x[None, :], axis=1)
     order = np.argsort(d)
-    nb = points[order[1 : m + 1]]
+    nb = points[order[1 : _NEIGHBOURS + 1]]
     h = nb - x[None, :]
     norms = np.linalg.norm(h, axis=1)
     ok = norms > 1e-14
@@ -290,7 +308,7 @@ def _local_direction(points, i, k, m=12, iters=4):
     u = h / norms[:, None]
     w = np.ones(u.shape[0])
     V = None
-    for _ in range(iters):
+    for _ in range(_REWEIGHTS):
         cov = (u * w[:, None]).T @ u
         vals, vecs = np.linalg.eigh(cov)
         V = vecs[:, np.argsort(vals)[::-1][:k]]
@@ -301,6 +319,8 @@ def _local_direction(points, i, k, m=12, iters=4):
     return np.stack([_lex_sign(V[:, j]) for j in range(k)], axis=1)
 
 
+_NEIGHBOURS = 12  # nearest neighbours behind a local tangent
+_REWEIGHTS = 4  # downweighting passes of a local tangent fit
 _ANGLE_TOL = math.pi / 10  # principal angle joining a point to a cluster
 _BASE_SAMPLES = 16  # base points tested per piece
 
@@ -413,20 +433,10 @@ def sigma_decompose(
         sub = points[idx]
         nb = min(_BASE_SAMPLES, idx.size)
         bases = rng.choice(idx.size, size=nb, replace=False)
-        passed = 0
-        conclusive = 0
-        for b in bases:
-            x = sub[b]
-            try:
-                V = fit_tangent(sub, x, k)
-            except ValueError:
-                continue
-            rep = is_k_tangential(sub, x, V, eta=eta)
-            reports.append(rep)
-            if rep.verdict != "inconclusive":
-                conclusive += 1
-            if rep.verdict == "tangential":
-                passed += 1
+        votes = base_reports(sub, k, bases, eta=eta)
+        reports.extend(votes)
+        passed = sum(r.verdict == "tangential" for r in votes)
+        conclusive = sum(r.verdict != "inconclusive" for r in votes)
         piece_list.append(SigmaPiece(idx, nb, passed, conclusive))
         if conclusive > 0:
             if passed < math.ceil(0.9 * conclusive):

@@ -124,6 +124,23 @@ def test_maximal_flags_refused_with_of_function(flag, tmp_path, capsys):
     assert out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal-field", "--function", "tent", "--box=1,-1", "--out", "f.csv"],
+        ["dirderiv", "--function", "tent", "--point", "0.5", "--theta", "1",
+         "--of", "function", "--lambda", "7"],
+    ],
+)
+def test_usage_error_names_no_spec_position(argv, tmp_path, monkeypatch, capsys):
+    # a usage error is not a spec syntax error: there is no position to name
+    monkeypatch.chdir(tmp_path)
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "(at position" not in err
+
+
 def test_gauss_dimension_parse_error_exits_2(capsys):
     rc = run(
         ["dirderiv", "--function", "gauss(0.5,4)", "--point", "0", "--theta", "1"]
@@ -533,9 +550,7 @@ def test_thread_env_cap(monkeypatch, tmp_path):
 # verify suites
 
 
-@pytest.mark.parametrize(
-    "suite", ["tangential-thm26", "translation-lemma34", "distance-eq21"]
-)
+@pytest.mark.parametrize("suite", list(cli.SUITES))
 def test_verify_suite_passes(suite, capsys):
     assert run(["verify", "--suite", suite]) == 0
     out = capsys.readouterr().out

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize_scalar
 
 import tangentia
-from tangentia import maxop
+from tangentia import maxop, verify
 from tangentia.errors import MaximalBlowupError
 from tangentia.funcspace import DirectionalFunction, parse_function_spec
 from tangentia.maxop import (
@@ -138,6 +139,20 @@ def test_tent_maximal_exact_at_seeded_points():
     xs = np.random.default_rng(0).uniform(-3.0, 3.0, 40)
     worst = max(abs(maximal(tent(), [x])[0] - tent_maximal_exact(x)) for x in xs)
     assert worst <= 1e-10
+
+
+def test_verify_tent_oracle_matches_exact():
+    # `tangentia verify` checks M tent against its own closed form.  At 2 the
+    # true value is 0.17712434446770470..., and the float expression
+    # (3 - sqrt 7) / 2 rounds 2 ulp below it
+    xs = np.random.default_rng(1).uniform(-3.0, 3.0, 100)
+    exact = [tent_maximal_exact(x) for x in xs]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        oracle = [verify.tent_maximal(float(x)) for x in xs]
+        at_two = verify.tent_maximal(2.0)
+    assert max(abs(o - e) for o, e in zip(oracle, exact)) <= 1e-10
+    assert at_two == pytest.approx((3.0 - math.sqrt(7.0)) / 2.0, abs=1e-15)
 
 
 def test_undeclared_kinks_are_treated_as_smooth():
