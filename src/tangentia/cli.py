@@ -49,17 +49,42 @@ class ExperimentConfig:
 
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
-    opts = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("command", "func", "config") and not k.startswith("_")
-    }
+    skip = ("command", "func", "config")
+    opts = {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")}
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             override = json.load(fh)
+        if not isinstance(override, dict):
+            raise SpecParseError(f"--config {args.config}: expected a JSON object")
+        # a key is an option's name in the header, with - or _
+        flags = {a.dest: a for a in args._parser._actions if a.dest in opts}
         for k, v in override.items():
-            opts[k.replace("-", "_")] = v
+            action = flags.get(k.replace("-", "_"))
+            if action is None:
+                raise SpecParseError(f"--config key {k!r}: not one of {sorted(flags)}")
+            opts[action.dest] = _config_value(k, v, action)
     return ExperimentConfig(args.command, opts)
+
+
+def _config_value(key: str, value, action: argparse.Action):
+    """A --config value read as the flag's parser reads the flag's text; a
+    value the flag would refuse is a usage error that names the key."""
+    if action.nargs == 0:  # a switch such as --strict
+        ok = isinstance(value, bool)
+    elif value is None:  # the unset default of an optional flag
+        ok = action.default is None and not action.required
+    elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+        try:
+            value = (action.type or str)(str(value))
+            ok = action.choices is None or value in action.choices
+        except ValueError:
+            ok = False
+    else:
+        ok = False
+    if not ok:
+        flag = action.option_strings[0]
+        raise SpecParseError(f"--config key {key!r}: {value!r} is not a valid {flag}")
+    return value
 
 
 def _thread_count(requested: int) -> int:
@@ -126,12 +151,10 @@ def _parse_subspace(s: str, n: int) -> semilinear.SemiLinearSubspace:
         raise SpecParseError(
             f"subspace spec {s!r}: expected 'full', 'V=[...]' and/or 'ray=[...]'"
         )
-    vecs = []
-    if mv and mv.group(1).strip():
-        vecs = [_parse_point(t) for t in mv.group(1).split(";") if t.strip()]
-    rays = []
-    if mr and mr.group(1).strip():
-        rays = [_parse_point(t) for t in mr.group(1).split(";") if t.strip()]
+    vecs, rays = (
+        [_parse_point(t) for t in m.group(1).split(";") if t.strip()] if m else []
+        for m in (mv, mr)
+    )
     return semilinear.semilinear(n, vecs, rays)
 
 
@@ -328,13 +351,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, function=True):
+    def common(sp, function=True, seed=False):
         if function:
             sp.add_argument("--function", required=True,
                             help="function spec, e.g. tent, abs, gauss(0.5,2), grid:f.csv")
-        sp.add_argument("--seed", type=int, default=0)
+        if seed:  # only the commands that sample take a seed
+            sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--config", default=None,
                         help="JSON file whose entries override flags")
+        sp.set_defaults(_parser=sp)
 
     sp = sub.add_parser("maximal-field", help="maximal-operator values on a grid")
     common(sp)
@@ -357,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_dirderiv)
 
     sp = sub.add_parser("tau", help="non-differentiability residual over a subspace")
-    common(sp)
+    common(sp, seed=True)
     sp.add_argument("--point", required=True)
     sp.add_argument("--subspace", default="full",
                     help="full | V=[v1;v2] and/or ray=[b], e.g. 'V=[0,1];ray=[1,0]'")
@@ -403,7 +428,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_infconv)
 
     sp = sub.add_parser("tangency", help="k-tangentiality reports for a point cloud")
-    common(sp, function=False)
+    common(sp, function=False, seed=True)
     sp.add_argument("--points", required=True, help="CSV cloud, one point per row")
     sp.add_argument("--k", type=int, default=1)
     sp.add_argument("--eta", type=float, default=0.2)
@@ -415,7 +440,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_tangency)
 
     sp = sub.add_parser("verify", help="run a named acceptance suite")
-    common(sp, function=False)
+    common(sp, function=False, seed=True)
     sp.add_argument("--suite", choices=list(SUITES) + ["all"], default="all")
     sp.set_defaults(func=cmd_verify)
 

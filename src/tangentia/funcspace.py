@@ -354,12 +354,11 @@ class QuadratureConfig:
     normalized so the ball rule integrates 1 to the exact ball volume and
     the sphere rule to the exact surface area.
 
-    ``ball_average_radii`` applies the ball rule at its first positive
-    radius only, unless f declares kinks.  Beyond it, it integrates over
-    the same directions on annuli, with _GAP_NODES = 4 Gauss-Legendre
-    radii per piece and pieces at most _MAX_PIECE = 5 % of their outer
-    radius wide, cut at f's kinks.  Both the ball rule and the annuli are
-    evaluated at most _CHUNK_POINTS = 2^15 points at a time, a size that
+    No estimator reads the ball rule itself: ``ball_average_radii``
+    integrates over its directions on annuli from radius 0, with
+    _GAP_NODES = 4 Gauss-Legendre radii per piece and pieces at most
+    _MAX_PIECE = 5 % of their outer radius wide, cut at f's kinks, and
+    evaluates at most _CHUNK_POINTS = 2^15 points at a time, a size that
     keeps each batch near the L2 cache (see :func:`_annulus_integrals`).
     """
 
@@ -374,13 +373,7 @@ class QuadratureConfig:
 
     def sphere_rule(self, n: int):
         """Unit-sphere directions (m, n) and weights summing to the area."""
-        if n == 1:
-            m = 2
-        elif n == 2:
-            m = self.sphere_nodes_2d
-        else:
-            m = self.sphere_nodes_3d
-        return _sphere_rule(n, m)
+        return _sphere_rule(n, {1: 2, 2: self.sphere_nodes_2d}.get(n, self.sphere_nodes_3d))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -457,23 +450,6 @@ def ball_average(
     return float(ball_average_radii(f, x, [r], quadrature)[0])
 
 
-def _ball_rule_sum(f, x, r: float, quadrature) -> float:
-    """The ball rule's weighted sum of f on B(x, r): the average times the
-    unit-ball volume."""
-    nodes, w = quadrature.ball_rule(f.dimension)
-    vals = np.empty(len(nodes))
-    for i in range(0, len(nodes), _CHUNK_POINTS):
-        vals[i : i + _CHUNK_POINTS] = f.evaluate_many(
-            x[None, :] + r * nodes[i : i + _CHUNK_POINTS]
-        )
-    total = float(w @ vals)
-    if not math.isfinite(total):
-        # the weights are positive, so a non-finite value leaves the sum
-        # non-finite; a sum that overflows from finite values is kept
-        _check_finite(vals, x[None, :] + r * nodes)
-    return total
-
-
 def ball_average_radii(
     f: DirectionalFunction,
     x,
@@ -483,16 +459,15 @@ def ball_average_radii(
     """Averages of f over B(x, r) at finite, strictly ascending radii >= 0.
 
     A radius 0 gives f(x).  The averages come from one cumulative radial
-    integral, the shell profile: the ball rule at the first positive
-    radius, then the integral of f over each annulus between consecutive
-    radii (:func:`_annulus_integrals`).  Where consecutive radii are
-    close, as on the radius grid of ``maxop.maximal``, this costs a few
-    shells per radius instead of a whole ball.  A 1D shell is the two
-    points x +- s, so the pieces are cut where a shell meets one of f's
-    kinks, and a first ball that may hold a kink is an annulus from 0,
-    cut the same way: a piecewise-linear f is integrated exactly.  The
-    memory of one call does not grow with the number of radii: on the
-    512-radius grid of ``maxop.maximal`` a 3D gauss peaks at about 1.5 MB.
+    integral, the shell profile: the integral of f over the first
+    positive ball as an annulus from 0, then over each annulus between
+    consecutive radii (:func:`_annulus_integrals`).  Where consecutive
+    radii are close, as on the radius grid of ``maxop.maximal``, this
+    costs a few shells per radius instead of a whole ball.  A 1D shell is
+    the two points x +- s, so the pieces are cut where a shell meets one
+    of f's kinks: a piecewise-linear f is integrated exactly.  The memory
+    of one call does not grow with the number of radii: on the 512-radius
+    grid of ``maxop.maximal`` a 3D gauss peaks at about 1.5 MB.
     """
     x = _point(x, f.dimension)
     radii = np.asarray(radii, dtype=float)
@@ -512,12 +487,10 @@ def ball_average_radii(
     pos = radii[start:]
     if len(pos) == 0:
         return out
-    # the ball rule at the first radius, then one annulus per later radius
+    # the unit annulus from 0 scaled by pos[0] (a subnormal radius loses
+    # nothing), then one annulus per later radius
     n = f.dimension
-    if f.kinks:  # on the unit annulus, so a subnormal radius loses nothing
-        first = _annulus_integrals(f, x, np.zeros(1), np.ones(1), quadrature, pos[0])[0]
-    else:
-        first = _ball_rule_sum(f, x, pos[0], quadrature)
+    first = _annulus_integrals(f, x, np.zeros(1), np.ones(1), quadrature, pos[0])[0]
     annuli = _annulus_integrals(f, x, pos[:-1], pos[1:], quadrature)
     vol = unit_ball_volume(n)
     out[start] = first / vol  # exactly ball_average's value

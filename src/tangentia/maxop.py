@@ -6,9 +6,9 @@ refinement on every bracketed local maximum: the objective r -> average
 of |f| on B(x, r) is multimodal in general, so unimodal search alone is
 unsound.
 The grid averages are one cumulative shell profile
-(``funcspace.ball_average_radii``): the ball rule at the first radius,
-then a 4-node Gauss-Legendre integral over each annulus between grid
-radii, cut in 1D at the declared kinks of f.  Refinement extends that
+(``funcspace.ball_average_radii``): a 4-node Gauss-Legendre integral
+over the first ball as an annulus from 0, then over each annulus between
+grid radii, cut in 1D at the declared kinks of f.  Refinement extends that
 profile from the nearest grid radius below, so it reproduces the grid
 values exactly and never compares two rules.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and

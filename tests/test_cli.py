@@ -51,6 +51,61 @@ def test_config_file_overrides_flags(tmp_path):
     assert doc["result"]["derivative"] == pytest.approx(1.0)
 
 
+SCAN_KEYS = "['box', 'function', 'no_gamma', 'out', 'res', 'tol']"
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ({"tol": "abc"}, "--config key 'tol': 'abc' is not a valid --tol"),
+        ({"rez": 9}, "--config key 'rez': not one of " + SCAN_KEYS),
+        ({"seed": 5}, "--config key 'seed': not one of " + SCAN_KEYS),
+        ({"no-gamma": 1}, "--config key 'no-gamma': 1 is not a valid --no-gamma"),
+    ],
+    ids=["bad-value", "unknown-key", "dropped-seed", "bad-switch"],
+)
+def test_config_file_refuses_what_the_flags_refuse(entry, message, tmp_path, capsys):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps(entry))
+    out = tmp_path / "s.csv"
+    argv = ["singular-set", "--function", "tent", "--box=-1,1", "--res", "5",
+            "--out", str(out), "--config", str(cfgfile)]
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_keys_are_header_options_read_by_their_flags(tmp_path):
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"of": "maximal", "lam": "0.5", "r-max": 3}))
+    out = tmp_path / "d.json"
+    argv = ["dirderiv", "--function", "tent", "--point", "2", "--theta", "1",
+            "--config", str(cfgfile), "--out", str(out)]
+    assert run(argv) == 0
+    options = json.loads(out.read_text())["config"]["options"]
+    assert (options["of"], options["lam"], options["r_max"]) == ("maximal", 0.5, 3.0)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal-field", "--function", "tent", "--box=-1,1", "--out", "f.csv"],
+        ["dirderiv", "--function", "tent", "--point", "2", "--theta", "1"],
+        ["gamma", "--function", "abs", "--point", "0"],
+        ["singular-set", "--function", "tent", "--box=-1,1", "--out", "s.csv"],
+        ["medial-axis", "--set-points=-1,0;1,0", "--box=-1,1", "--out", "m.csv"],
+        ["infconv", "--function", "abs", "--point", "2", "--y-box=-4,4"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_seed_only_where_something_samples(argv, capsys):
+    # tau, tangency and verify sample and take --seed; these six do not
+    with pytest.raises(SystemExit) as ei:
+        run(argv + ["--seed", "5"])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 

@@ -189,10 +189,11 @@ def test_ball_average_radii_sparse_radii_accurate(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, evals", [(1, 4_152), (2, 132_864), (3, 4_251_648)])
+@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 4_349_952)])
 def test_ball_average_radii_cost_and_chunks(n, evals):
-    # the maximal-operator grid: one ball rule, then 4 shells per gap, in
-    # batches of at most _CHUNK_POINTS points
+    # the maximal-operator grid: the first ball as 20 pieces of 4 shells
+    # from 0, then 4 shells per gap, in batches of at most _CHUNK_POINTS
+    # points
     f, sizes = _counting(make_gauss(0.5, n))
     radii = np.geomspace(1e-3, 100.0, 512)
     ball_average_radii(f, np.full(n, 0.2), radii)
@@ -243,7 +244,7 @@ def _recorded(batch, n):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("n", [2, 3])
 def test_ball_average_radii_names_first_non_finite_point(n, bad, where):
-    # a non-finite value in the first radius's ball rule, or in a chunk of
+    # a non-finite value in the first ball ("ball rule"), or in a chunk of
     # annuli near the largest radius, is refused at the first point of the
     # evaluation order where f is non-finite
     x = np.array([0.3, -0.2, 0.1][:n])
@@ -263,10 +264,13 @@ def test_ball_average_radii_names_first_non_finite_point(n, bad, where):
     assert err.value.point == tuple(first.tolist())
     assert err.value.value == bad or (math.isnan(bad) and math.isnan(err.value.value))
     if where == "late annulus":
-        # the ball rule's batches and the first chunk of annuli pass
-        ball_batches = -(-len(DEFAULT_QUADRATURE.ball_rule(n)[0]) // funcspace._CHUNK_POINTS)
+        # the first ball's batches and the first chunk of annuli pass
+        q = DEFAULT_QUADRATURE
+        dirs = funcspace._ball_directions(n, q.radial_order, q.angular_order)[0]
+        shells = math.ceil(1.0 / funcspace._MAX_PIECE) * funcspace._GAP_NODES
+        ball_batches = -(-shells // (funcspace._CHUNK_POINTS // len(dirs)))
         assert len(seen) > ball_batches + 1
-        assert np.all(np.isfinite(batch(seen[ball_batches])))
+        assert np.all(np.isfinite(batch(np.concatenate(seen[: ball_batches + 1]))))
         assert np.linalg.norm(first - x) > 30.0
 
 

@@ -16,7 +16,7 @@ from scipy.optimize import minimize_scalar
 import tangentia
 from tangentia import maxop, verify
 from tangentia.errors import MaximalBlowupError
-from tangentia.funcspace import DirectionalFunction, parse_function_spec
+from tangentia.funcspace import DirectionalFunction, ball_average, parse_function_spec
 from tangentia.maxop import (
     check_translation_bound,
     maximal,
@@ -104,55 +104,48 @@ def test_operator_sees_absolute_value():
 
 
 def tent_primitive(t):
-    a = abs(t)
-    return math.copysign(a - 0.5 * a * a if a <= 1.0 else 0.5, t)
+    a = np.minimum(np.abs(t), 1.0)
+    return np.copysign(a - 0.5 * a * a, t)
 
 
 def tent_average(x, r):
     return (tent_primitive(x + r) - tent_primitive(x - r)) / (2.0 * r)
 
 
-def tent_maximal_exact(x):
-    """M tent(x) in closed form.  Between the breakpoints r = |x - k| of
-    the kinks k, the integral q(r) of the tent over [x - r, x + r] is a
-    quadratic a r^2 + b r + c, so the average q(r) / 2r peaks at a
-    breakpoint or where a r^2 = c.  Past the last breakpoint the ball
-    holds the whole tent and the average falls."""
-    ends = sorted({0.0} | {abs(x - k) for k in (-1.0, 0.0, 1.0)})
-    cands = [max(0.0, 1.0 - abs(x))] + [tent_average(x, r) for r in ends[1:]]
-    for lo, hi in zip(ends, ends[1:]):
-        rs = np.array([0.75 * lo + 0.25 * hi, 0.5 * (lo + hi), 0.25 * lo + 0.75 * hi])
-        a, _, c = np.polyfit(rs, [2.0 * r * tent_average(x, r) for r in rs], 2)
-        if a != 0.0 and lo < math.sqrt(max(c / a, 0.0)) < hi:
-            cands.append(tent_average(x, math.sqrt(c / a)))
-    return max(cands)
-
-
 @pytest.mark.parametrize("x", [-1.1670830239421992, 1.1670830239421992, 0.25, 2.0])
 def test_tent_maximal_exact_at_fixed_points(x):
     # +-1.167...: an adaptive 1D integral overestimated an average there by
     # 1.8e-6
-    assert maximal(tent(), [x])[0] == pytest.approx(tent_maximal_exact(x), abs=1e-12)
+    assert maximal(tent(), [x])[0] == pytest.approx(verify.tent_maximal(x), abs=1e-12)
 
 
 def test_tent_maximal_exact_at_seeded_points():
     xs = np.random.default_rng(0).uniform(-3.0, 3.0, 40)
-    worst = max(abs(maximal(tent(), [x])[0] - tent_maximal_exact(x)) for x in xs)
+    worst = max(abs(maximal(tent(), [x])[0] - verify.tent_maximal(x)) for x in xs)
     assert worst <= 1e-10
 
 
 def test_verify_tent_oracle_matches_exact():
-    # `tangentia verify` checks M tent against its own closed form.  At 2 the
-    # true value is 0.17712434446770470..., and the float expression
-    # (3 - sqrt 7) / 2 rounds 2 ulp below it
+    # the closed form that `tangentia verify` and these tests check M tent
+    # against tops a scan of the tent's exact averages over 200,001 radii
+    # (up to the primitive's cancellation at the smallest, 1e-3), by no
+    # more than the scan's spacing allows.  At 2 the true value is
+    # 0.17712434446770470..., and the float expression (3 - sqrt 7) / 2
+    # rounds 2 ulp below it
     xs = np.random.default_rng(1).uniform(-3.0, 3.0, 100)
-    exact = [tent_maximal_exact(x) for x in xs]
+    radii = np.geomspace(1e-3, 10.0, 200_001)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        oracle = [verify.tent_maximal(float(x)) for x in xs]
+        oracle = np.array([verify.tent_maximal(float(x)) for x in xs])
         at_two = verify.tent_maximal(2.0)
-    assert max(abs(o - e) for o, e in zip(oracle, exact)) <= 1e-10
+        near_kink = verify.tent_maximal(1e-12)
+    scan = np.array(
+        [max(1.0 - min(abs(x), 1.0), float(np.max(tent_average(x, radii)))) for x in xs]
+    )
+    assert np.all(oracle >= scan - 1e-13)
+    assert np.all(oracle - scan <= 1e-9)
     assert at_two == pytest.approx((3.0 - math.sqrt(7.0)) / 2.0, abs=1e-15)
+    assert near_kink == pytest.approx(1.0 - 1e-12, abs=1e-15)
 
 
 def test_undeclared_kinks_are_treated_as_smooth():
@@ -160,8 +153,8 @@ def test_undeclared_kinks_are_treated_as_smooth():
     # smooth, so 4-node pieces that straddle the tent's kinks lose accuracy
     smooth = dataclasses.replace(tent(), kinks=())
     xs = np.random.default_rng(1).uniform(-3.0, 3.0, 20)
-    declared = max(abs(maximal(tent(), [x])[0] - tent_maximal_exact(x)) for x in xs)
-    undeclared = max(abs(maximal(smooth, [x])[0] - tent_maximal_exact(x)) for x in xs)
+    declared = max(abs(maximal(tent(), [x])[0] - verify.tent_maximal(x)) for x in xs)
+    undeclared = max(abs(maximal(smooth, [x])[0] - verify.tent_maximal(x)) for x in xs)
     assert declared <= 1e-10
     assert 1e-8 < undeclared <= 1e-5
 
@@ -252,6 +245,17 @@ def gauss_average(rho, r, s, n):
     if rho > 0.0:
         total += quad(part, abs(r - rho), r + rho, **opts)[0]
     return total / volume
+
+
+@pytest.mark.parametrize("r", [6.0, 9.33])
+@pytest.mark.parametrize("n", [2, 3])
+def test_ball_average_matches_radial_oracle_at_large_radii(n, r):
+    # one ball 30-47 times wider than gauss(0.2)'s length scale, off its
+    # centre: the shell profile from 0 keeps 1e-5 relative
+    x = np.zeros(n)
+    x[0] = 2.2
+    got = ball_average(parse_function_spec(f"gauss(0.2,{n})"), x, r)
+    assert got == pytest.approx(gauss_average(2.2, r, 0.2, n), rel=1e-5, abs=0.0)
 
 
 def gauss_maximal(rho, s, n, lam=0.0):
