@@ -52,8 +52,11 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     skip = ("command", "func", "config")
     opts = {k: v for k, v in vars(args).items() if k not in skip and not k.startswith("_")}
     if getattr(args, "config", None):
-        with open(args.config, "r", encoding="utf-8") as fh:
-            override = json.load(fh)
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                override = json.load(fh)
+        except (OSError, UnicodeDecodeError, ValueError) as exc:
+            raise SpecParseError(f"--config {args.config}: {exc}") from exc
         if not isinstance(override, dict):
             raise SpecParseError(f"--config {args.config}: expected a JSON object")
         # a key is an option's name in the header, with - or _

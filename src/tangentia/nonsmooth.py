@@ -14,6 +14,7 @@ shows its residual reaching the tolerance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -258,8 +259,13 @@ def kink_normals(f: DirectionalFunction, x) -> list:
     differences point across the kink.
     """
     x = _point(x, f.dimension)
+    probes = sample_unit_vectors(full_space(f.dimension), _N_PROBES, 0)
+    return _kink_normals(f, x, probes)
+
+
+def _kink_normals(f: DirectionalFunction, x: np.ndarray, probes: np.ndarray) -> list:
+    """kink_normals at a checked x, from the given unit probe directions."""
     n = f.dimension
-    probes = sample_unit_vectors(full_space(n), _N_PROBES, 0)
     p = x + _PROBE_RADIUS * probes
     step = _FD_H * np.eye(n)
     # every probe's 2n central-difference points in one batch
@@ -331,14 +337,111 @@ def _candidate_subspaces(n: int, k: int, normals, count: int):
     return cands[:count]
 
 
-def _tau_value(f, x, fx, W, n_dir, r, tol) -> float:
-    """tau(f, x, W, n_dir, ladder).value for a ladder whose last rung is r,
-    wherever that value is below tol; at or above tol, a lower bound that
-    reaches it (see minimax_fit)."""
-    dirs = sample_unit_vectors(W, n_dir, 0)
-    A = dirs @ W.span_basis()
+def _key(W: SemiLinearSubspace) -> tuple:
+    """W's canonical form as bytes: equal keys sample equal directions."""
+    return W.basis.tobytes(), tuple(r.tobytes() for r in W.rays)
+
+
+def _tau_value(f, x, fx, dirs, A, r, tol) -> float:
+    """tau's value over the W that dirs sample (A = dirs @ W.span_basis())
+    for a ladder whose last rung is r, wherever that value is below tol;
+    at or above tol, a lower bound that reaches it (see minimax_fit)."""
     q = (f.evaluate_many(x[None, :] + r * dirs) - fx) / r
     return minimax_fit(A, q, tol)[1]
+
+
+class _DegreeSearch:
+    """gamma's search for one (f, tol, budget), at any number of points.
+
+    Every piece that does not depend on x is computed once and kept: the
+    b battery, the candidate subspaces per set of kink normals, each
+    halfspace(V, b), and each subspace's direction sample with its fit
+    matrix, keyed by the subspace's canonical basis and rays.  gamma
+    builds one per call; singular_scan builds one per scan for all its
+    flags.
+    """
+
+    def __init__(self, f: DirectionalFunction, tol: float, budget: GammaBudget):
+        n = f.dimension
+        self.f, self.tol, self.budget = f, tol, budget
+        self.n_dir = max(budget.directions, 2 * n)
+        self.full = full_space(n)
+        self._samples: dict = {}  # (key, N) -> (dirs, dirs @ span basis)
+        self._candidates: dict = {}  # (k, normals) -> candidate subspaces
+        self._built: dict = {}  # key of V -> halfspace(V, b) per b reached
+
+    @functools.cached_property
+    def b_dirs(self) -> np.ndarray:
+        return sample_unit_vectors(self.full, self.budget.b_per_candidate, 1)
+
+    @functools.cached_property
+    def rays(self) -> list:
+        return [semilinear(self.f.dimension, [], [b]) for b in self.b_dirs]
+
+    def sample(self, W: SemiLinearSubspace, N: int):
+        """sample_unit_vectors(W, N, 0) and its fit matrix, once per W and N."""
+        key = (_key(W), N)
+        hit = self._samples.get(key)
+        if hit is None:
+            dirs = sample_unit_vectors(W, N, 0)
+            hit = self._samples[key] = (dirs, dirs @ W.span_basis())
+        return hit
+
+    def _residual(self, x, fx, W, N, tol) -> float:
+        dirs, A = self.sample(W, N)
+        return _tau_value(self.f, x, fx, dirs, A, self.budget.radius, tol)
+
+    def _subspaces(self, k: int, normals) -> list:
+        """_candidate_subspaces for this set of kink normals, built once."""
+        key = (k, tuple(m.tobytes() for m in normals))
+        if key not in self._candidates:
+            self._candidates[key] = _candidate_subspaces(
+                self.f.dimension, k, normals, self.budget.candidates_per_dim
+            )
+        return self._candidates[key]
+
+    def _halfspaces(self, V: SemiLinearSubspace):
+        """halfspace(V, b) for each b in turn, each built once per V."""
+        built = self._built.setdefault(_key(V), [])
+        for j, b in enumerate(self.b_dirs):
+            if j == len(built):
+                built.append(halfspace(V, b))
+            yield built[j]
+
+    def degree(self, x: np.ndarray) -> GammaEstimate:
+        """gamma(f, x, tol, budget) at a checked point x."""
+        f, tol, n_dir = self.f, self.tol, self.n_dir
+        n = f.dimension
+        fx = f(x)
+        t_full = self._residual(x, fx, self.full, n_dir, tol)
+        if t_full < tol:
+            return GammaEstimate(n, self.full, t_full)
+
+        normals = _kink_normals(f, x, self.sample(self.full, _N_PROBES)[0])
+        for k in range(n - 1, 0, -1):
+            best = None
+            for V in self._subspaces(k, normals):
+                worst = self._residual(x, fx, V, n_dir, tol)
+                if worst >= tol:
+                    continue
+                ok = True
+                for H in self._halfspaces(V):
+                    if not H.rays:  # b landed in V: same subspace, already tested
+                        continue
+                    tH = self._residual(x, fx, H, n_dir, tol)
+                    worst = max(worst, tH)
+                    if tH >= tol:
+                        ok = False
+                        break
+                if ok and (best is None or worst < best[1]):
+                    best = (V, worst)
+            if best is not None:
+                return GammaEstimate(k, best[0], best[1])
+
+        worst = 0.0
+        for ray in self.rays:
+            worst = max(worst, self._residual(x, fx, ray, max(4, 2 * n), math.inf))
+        return GammaEstimate(0, semilinear(n, [], []), worst)
 
 
 def gamma(
@@ -361,44 +464,7 @@ def gamma(
     if budget is None:
         budget = GammaBudget()
     x = _point(x, f.dimension)
-    n = f.dimension
-    r = budget.radius
-    fx = f(x)
-    n_dir = max(budget.directions, 2 * n)
-
-    t_full = _tau_value(f, x, fx, full_space(n), n_dir, r, tol)
-    if t_full < tol:
-        return GammaEstimate(n, full_space(n), t_full)
-
-    normals = kink_normals(f, x)
-    b_dirs = sample_unit_vectors(full_space(n), budget.b_per_candidate, 1)
-
-    for k in range(n - 1, 0, -1):
-        best = None
-        for V in _candidate_subspaces(n, k, normals, budget.candidates_per_dim):
-            worst = _tau_value(f, x, fx, V, n_dir, r, tol)
-            if worst >= tol:
-                continue
-            ok = True
-            for b in b_dirs:
-                H = halfspace(V, b)
-                if not H.rays:  # b landed in V: same subspace, already tested
-                    continue
-                tH = _tau_value(f, x, fx, H, n_dir, r, tol)
-                worst = max(worst, tH)
-                if tH >= tol:
-                    ok = False
-                    break
-            if ok and (best is None or worst < best[1]):
-                best = (V, worst)
-        if best is not None:
-            return GammaEstimate(k, best[0], best[1])
-
-    worst = 0.0
-    for b in b_dirs:
-        ray = semilinear(n, [], [b])
-        worst = max(worst, _tau_value(f, x, fx, ray, max(4, 2 * n), r, math.inf))
-    return GammaEstimate(0, semilinear(n, [], []), worst)
+    return _DegreeSearch(f, tol, budget).degree(x)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +496,8 @@ def singular_scan(
     Quotient magnitudes above _SF_THRESHOLD flag singular-set
     membership.  Flagged points are annotated with the differentiability
     degree, from a small fixed gamma budget at the finest rung's radius,
-    half a cell.
+    half a cell; one degree search serves every flag, so each subspace is
+    sampled once per scan.
     """
     _positive_tol(tol)
     n = f.dimension
@@ -438,7 +505,9 @@ def singular_scan(
     ladder = np.array([2.0, 1.0, 0.5]) * cell
 
     n_dir = 2 if n == 1 else (16 if n == 2 else 48)
-    dirs = sample_unit_vectors(full_space(n), n_dir, 0)
+    # one degree search for every flag; it also holds the scan's directions
+    search = _DegreeSearch(f, tol, GammaBudget(8, 8, n_dir, 0.5 * cell))
+    dirs = search.sample(search.full, n_dir)[0]
     A = dirs  # span of R^n: ambient coordinates
     pinv = np.linalg.pinv(A)
 
@@ -454,19 +523,13 @@ def singular_scan(
 
     sf = max_q > _SF_THRESHOLD
     candidates = np.flatnonzero((ls_res >= tol) | sf)
-    gamma_budget = GammaBudget(
-        candidates_per_dim=8, b_per_candidate=8, directions=n_dir, radius=0.5 * cell
-    )
     out = []
     for i in candidates:
         # least-squares residual only upper-bounds the minimax one
         _, exact = minimax_fit(A, Q[i])
         if exact < tol and not sf[i]:
             continue
-        if annotate_gamma:
-            g = gamma(f, pts[i], tol=tol, budget=gamma_budget).degree
-        else:
-            g = -1
+        g = search.degree(pts[i]).degree if annotate_gamma else -1
         out.append(ScanPoint(tuple(pts[i]), float(exact), g, bool(sf[i])))
     return out
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ __all__ = [
     "nearest_set",
     "distance_directional_derivative",
     "MedialPoint",
+    "MedialScan",
     "medial_scan",
     "medial_to_csv",
     "inf_convolution",
@@ -170,61 +171,80 @@ def distance_function(A: ClosedSetModel) -> DirectionalFunction:
 # medial axis by grid scan
 
 
-@dataclass(frozen=True, slots=True)  # a scan returns one per grid point
+@dataclass(frozen=True, slots=True)
 class MedialPoint:
     point: Tuple[float, ...]
     distance: float
     multiplicity: int
 
 
+@dataclass(frozen=True, eq=False)  # == on array fields has no single truth value
+class MedialScan:
+    """A medial scan as columns: the grid points off the set (p, n), their
+    distance (p,) and nearest-point multiplicity (p,).  It has ``len`` and
+    iterates as MedialPoints, in grid order."""
+
+    points: np.ndarray
+    distance: np.ndarray
+    multiplicity: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.distance)
+
+    def __iter__(self) -> Iterator[MedialPoint]:
+        # one row at a time: a whole-column tolist would hold every item
+        for x, d, m in zip(self.points, self.distance, self.multiplicity):
+            yield MedialPoint(tuple(x.tolist()), float(d), int(m))
+
+
 _TIE_FACTOR = 0.6  # medial ties: distances within this many cells
 _ANGULAR_DEDUP = 1e-4  # radians; nearest points closer, seen from x, count once
 
 
-def medial_scan(A: ClosedSetModel, box, resolution) -> List[MedialPoint]:
+def medial_scan(A: ClosedSetModel, box, resolution) -> MedialScan:
     """Grid points annotated with their nearest-point multiplicity.
 
     Ties are counted with an absolute tolerance of _TIE_FACTOR * cell
     (grid arithmetic never produces exact ties) and nearest points
     closer than _ANGULAR_DEDUP radians apart, as seen from x, count once.
-    Multiplicity >= 2 constitutes the detected medial axis.
+    Multiplicity >= 2 constitutes the detected medial axis.  Grid points
+    on the set are left out.
     """
     pts, cell = _box_grid(box, resolution, A.dimension, 2)
     tie = _TIE_FACTOR * cell
 
-    out = []
+    dmins, mult = [], []
     for block in _blocks(pts):
         cands, dist = _candidates(A, block)
         cands = np.broadcast_to(cands, dist.shape + cands.shape[-1:])
-        dmins = np.min(dist, axis=1)
+        dmin = np.min(dist, axis=1)
         # tie-band candidates per point as _close_points selects them, 0 on
-        # the set; a lone one gives multiplicity 1 without the per-point loop
-        off = dmins > _ON_SET_TOL
-        band = np.zeros(len(dmins), dtype=int)
-        d_off = dmins[off]
+        # the set; only a point with two or more takes the angular dedup
+        off = dmin > _ON_SET_TOL
+        band = np.zeros(len(dmin), dtype=int)
+        d_off = dmin[off]
         band[off] = np.count_nonzero(
             dist[off] <= (d_off * (1.0 + tie / d_off))[:, None], axis=1
         )
-        for x, c, d, dmin, m in zip(block, cands, dist, dmins, band):
-            dmin = float(dmin)
-            if m == 0:
-                continue  # on the set
-            if m == 1:
-                out.append(MedialPoint(tuple(x), dmin, 1))
-                continue
+        for i in np.flatnonzero(band >= 2):
+            x, d = block[i], float(dmin[i])
             dirs = []
-            for y in _close_points(c, d, dmin, tie / dmin):
+            for y in _close_points(cands[i], dist[i], d, tie / d):
                 u = (x - y) / np.linalg.norm(x - y)
                 if all(
                     math.acos(min(1.0, max(-1.0, float(u @ v)))) > _ANGULAR_DEDUP
                     for v in dirs
                 ):
                     dirs.append(u)
-            out.append(MedialPoint(tuple(x), dmin, len(dirs)))
-    return out
+            band[i] = len(dirs)
+        dmins.append(dmin)
+        mult.append(band)
+    dmins, mult = np.concatenate(dmins), np.concatenate(mult)
+    keep = mult > 0  # 0: on the set
+    return MedialScan(pts[keep], dmins[keep], mult[keep])
 
 
-def medial_to_csv(points: Sequence[MedialPoint], path, dimension: int):
+def medial_to_csv(points: Iterable[MedialPoint], path, dimension: int):
     cols = [f"x{i + 1}" for i in range(dimension)] + ["dist", "multiplicity"]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(cols) + "\n")

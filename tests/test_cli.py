@@ -75,6 +75,19 @@ def test_config_file_refuses_what_the_flags_refuse(entry, message, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ['{"tol": 0.01,', None], ids=["malformed", "missing"])
+def test_config_file_unreadable_is_a_usage_error(text, tmp_path, capsys):
+    cfgfile = tmp_path / "bad.json"
+    if text is not None:
+        cfgfile.write_text(text)
+    out = tmp_path / "g.json"
+    argv = ["gamma", "--function", "abs", "--point", "0", "--config", str(cfgfile),
+            "--out", str(out)]
+    assert run(argv) == 2
+    assert f"error: --config {cfgfile}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_keys_are_header_options_read_by_their_flags(tmp_path):
     cfgfile = tmp_path / "c.json"
     cfgfile.write_text(json.dumps({"of": "maximal", "lam": "0.5", "r-max": 3}))

@@ -622,6 +622,56 @@ def test_scan_maxaffine_arrangement_edges():
         assert min(d1, d2) <= 0.5 * cell * math.sqrt(2.0) + 1e-9
 
 
+def _seeded_maxaffine_3d():
+    rng = np.random.default_rng(2)
+    return make_maxaffine(rng.uniform(-2.0, 2.0, size=(4, 3)), rng.uniform(-1.0, 1.0, size=4))
+
+
+@pytest.mark.parametrize(
+    "f, box, res, n_dir",
+    [
+        (parse_function_spec("maxaffine[(1,0,0),(-1,0,0),(0,1,0)]"), ([-1, -1], [1, 1]), 33, 16),
+        (_seeded_maxaffine_3d(), ([-1, -1, -1], [1, 1, 1]), 5, 48),
+    ],
+    ids=["readme-2d", "seeded-3d"],
+)
+def test_scan_shares_an_exact_degree_search(f, box, res, n_dir, monkeypatch):
+    # each flag's degree is a fresh gamma's at the scan's budget, and no
+    # subspace is sampled twice with the same size and seed in one scan
+    sampled = []
+    real = nonsmooth.sample_unit_vectors
+
+    def counted(W, N, seed=0):
+        sampled.append((W.basis.tobytes(), tuple(r.tobytes() for r in W.rays), N, seed))
+        return real(W, N, seed)
+
+    monkeypatch.setattr(nonsmooth, "sample_unit_vectors", counted)
+    flags = singular_scan(f, box, res)
+    assert len(sampled) == len(set(sampled))
+    monkeypatch.undo()
+
+    cell = 2.0 / (res - 1)
+    budget = GammaBudget(8, 8, n_dir, 0.5 * cell)
+    degrees = [gamma(f, p.point, 1e-3, budget).degree for p in flags]
+    assert [p.gamma for p in flags] == degrees
+    assert len(set(degrees)) > 1
+
+
+def test_degree_search_samples_are_keyed_by_subspace_and_size():
+    # a line, its halfspaces (same basis, one ray more), a ray and R^3, at
+    # three sizes in mixed order: every answer is a fresh sample's, bitwise
+    search = nonsmooth._DegreeSearch(_seeded_maxaffine_3d(), 1e-3, GammaBudget())
+    line = linear_subspace(3, [[1.0, 2.0, 2.0]])
+    spaces = [line, halfspace(line, [0.0, 1.0, 0.0]), halfspace(line, [0.0, 0.0, 1.0]),
+              ray_space([0.0, 1.0, 0.0]), full_space(3)]
+    for N in (16, 4, 48, 16):
+        for W in spaces[::-1] + spaces:
+            dirs, A = search.sample(W, N)
+            fresh = sample_unit_vectors(W, N, 0)
+            assert dirs.tobytes() == fresh.tobytes()
+            assert A.tobytes() == (fresh @ W.span_basis()).tobytes()
+
+
 def test_scan_csv_format(tmp_path):
     f = abs_x1_2d()
     flags = singular_scan(f, ([-1, -1], [1, 1]), 16, annotate_gamma=False)

@@ -257,24 +257,36 @@ def _medial_reference(A, box, res):
 
 
 @pytest.mark.parametrize(
-    "A, box",
+    "A, box, res",
     [
-        (ClosedSetModel.from_polygon(SQUARE), ([0.0, 0.0], [1.0, 1.0])),
+        (ClosedSetModel.from_polygon(SQUARE), ([0.0, 0.0], [1.0, 1.0]), 37),
         # an L shape: non-convex, with a reflex vertex at (1, 1)
         (ClosedSetModel.from_polygon([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2]]),
-         ([-0.5, -0.5], [2.5, 2.5])),
+         ([-0.5, -0.5], [2.5, 2.5]), 37),
         # a near-duplicate pair, one direction seen from afar
         (ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0], [1.0, 1e-7], [0.0, 1.0]]),
-         ([-1.5, -1.5], [1.5, 1.5])),
+         ([-1.5, -1.5], [1.5, 1.5]), 37),
+        # seeded points in 3D, one of them doubled within the dedup angle
+        (ClosedSetModel.from_points(np.vstack([
+            np.random.default_rng(0).uniform(-1.0, 1.0, size=(5, 3)),
+            [[0.0, 0.0, 1.5], [0.0, 1e-7, 1.5]]])),
+         ([-1.5, -1.5, -1.5], [1.5, 1.5, 1.5]), 13),
     ],
-    ids=["square", "L-polygon", "near-duplicate-points"],
+    ids=["square", "L-polygon", "near-duplicate-points", "points-3d"],
 )
-def test_medial_scan_matches_pointwise_rule(A, box):
-    scan = medial_scan(A, box, 37)
-    ref, deduped = _medial_reference(A, box, 37)
-    assert [(p.point, p.distance, p.multiplicity) for p in scan] == [
+def test_medial_scan_matches_pointwise_rule(A, box, res):
+    scan = medial_scan(A, box, res)
+    ref, deduped = _medial_reference(A, box, res)
+    items = list(scan)
+    assert [(p.point, p.distance, p.multiplicity) for p in items] == [
         (p.point, p.distance, p.multiplicity) for p in ref
     ]
+    # the columns are the items
+    assert len(scan) == len(items)
+    assert scan.points.shape == (len(items), A.dimension)
+    assert scan.points.tolist() == [list(p.point) for p in items]
+    assert scan.distance.tolist() == [p.distance for p in items]
+    assert scan.multiplicity.tolist() == [p.multiplicity for p in items]
     assert any(p.multiplicity >= 2 for p in scan)
     if A.kind == "points":
         assert deduped > 0  # the angular dedup decided some points
