@@ -8,6 +8,7 @@ values built here.  All types are immutable and all operations pure.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -359,7 +360,9 @@ class QuadratureConfig:
     _GAP_NODES = 4 Gauss-Legendre radii per piece and pieces at most
     _MAX_PIECE = 5 % of their outer radius wide, cut at f's kinks, and
     evaluates at most _CHUNK_POINTS = 2^15 points at a time, a size that
-    keeps each batch near the L2 cache (see :func:`_annulus_integrals`).
+    keeps each batch near the L2 cache (see :func:`_piece_integrals`).
+    A radius search extends those averages to new radii with the same
+    pieces and directions, through one :class:`_ShellProfile`.
     """
 
     radial_order: int = 32
@@ -467,7 +470,9 @@ def ball_average_radii(
     the two points x +- s, so the pieces are cut where a shell meets one
     of f's kinks: a piecewise-linear f is integrated exactly.  The memory
     of one call does not grow with the number of radii: on the 512-radius
-    grid of ``maxop.maximal`` a 3D gauss peaks at about 1.5 MB.
+    grid of ``maxop.maximal`` a 3D gauss peaks at about 1.5 MB.  A
+    :class:`_ShellProfile` built from the returned averages gives the same
+    profile at radii between them, bitwise as this call would.
     """
     x = _point(x, f.dimension)
     radii = np.asarray(radii, dtype=float)
@@ -500,23 +505,56 @@ def ball_average_radii(
     return out
 
 
-def _profile_at(f, x, radii, averages, r: float) -> float:
-    """The shell profile of ``ball_average_radii(f, x, radii)`` at r.
+class _ShellProfile:
+    """The shell profile of ``ball_average_radii(f, x, radii)``, which
+    returned ``averages``, at any radius r >= radii[0].
 
-    Adds the annulus from the largest tabulated radius g <= r to r, so it
-    returns ``averages`` exactly at a tabulated radius, and a search that
-    mixes tabulated and new radii compares values of one rule.
+    A probe at r adds the annulus from the largest tabulated radius g <= r
+    to r, with the pieces of :func:`_annulus_integrals` on that one gap
+    (at most _MAX_PIECE of r wide, and in 1D cut at the kinks of f),
+    summed in the same order.  So it returns ``averages`` exactly at a
+    tabulated radius, anywhere else the value that annulus integral
+    gives, bit for bit, and a search that mixes tabulated and new radii
+    compares values of one rule.  What every probe shares is set up once:
+    the directions and their weights, the unit-ball volume, the radii and
+    averages as floats and, in 1D, the sorted distances |k - x| of the
+    kinks k of f.
     """
-    k = int(np.searchsorted(radii, r, side="right")) - 1
-    if k < 0:
-        raise ValueError(f"radius {r} lies below the tabulated radii")
-    g = float(radii[k])
-    if r == g:
-        return float(averages[k])
-    n = f.dimension
-    vol = unit_ball_volume(n)
-    annulus = _annulus_integrals(f, x, np.array([g]), np.array([r]), DEFAULT_QUADRATURE)
-    return float((averages[k] * vol * g**n + annulus[0]) / (vol * r**n))
+
+    def __init__(self, f: DirectionalFunction, x: np.ndarray, radii, averages):
+        q = DEFAULT_QUADRATURE
+        dirs, self.wdir = _ball_directions(f.dimension, q.radial_order, q.angular_order)
+        self.dirs_t = np.ascontiguousarray(dirs.T)
+        self.vol = unit_ball_volume(f.dimension)
+        self.f, self.x, self.n = f, x, f.dimension
+        self.radii, self.averages = np.asarray(radii).tolist(), np.asarray(averages).tolist()
+        self.cuts = sorted(np.abs(np.asarray(f.kinks) - x[0]).tolist()) if f.kinks else None
+
+    def __call__(self, r: float) -> float:
+        k = bisect.bisect_right(self.radii, r) - 1
+        if k < 0:
+            raise ValueError(f"radius {r} lies below the tabulated radii")
+        g = self.radii[k]
+        if r == g:
+            return self.averages[k]
+        pieces = max(1, math.ceil((r - g) / (_MAX_PIECE * r)))
+        step = (r - g) / pieces
+        ends = g + np.arange(pieces + 1) * step
+        ends[-1] = r
+        if self.cuts is None:
+            a = ends[:-1]
+            b = a + step
+            b[-1] = r
+        else:
+            # the kinks strictly inside (g, r) cut the pieces further
+            lo, hi = bisect.bisect_right(self.cuts, g), bisect.bisect_left(self.cuts, r)
+            if hi > lo:
+                ends = np.union1d(ends, self.cuts[lo:hi])
+            a, b = ends[:-1], ends[1:]
+        integrals = _piece_integrals(self.f, self.x, a, b, self.dirs_t, self.wdir)
+        annulus = np.add.accumulate(integrals)[-1]
+        n, vol = self.n, self.vol
+        return float((self.averages[k] * vol * g**n + annulus) / (vol * r**n))
 
 
 def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
@@ -525,34 +563,12 @@ def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
     In polar form this is the integral over s in [lo, hi] of s^(n-1)
     times the ball rule's direction sum of f(x + s u).  Each gap is cut
     into equal pieces no wider than _MAX_PIECE of its outer radius, with
-    a _GAP_NODES-node Gauss-Legendre rule on each piece.  A 1D piece is
-    cut again where x + s or x - s meets a kink of f.  With a scale, the
-    annuli are scale * lo < |y - x| < scale * hi, integrals / scale^n.
-
-    The shell points are evaluated _CHUNK_POINTS // m radii at a time (m
-    directions), written into one coordinate buffer that the call reuses:
-    one einsum writes every radius times every direction, then x is
-    added.  At 2^15 points a 3D chunk is 16 radii x 2,048 directions,
-    768 KiB of coordinates; with the values and a batch evaluator's
-    one-column temporaries it stays near a 2 MiB L2 cache, which 2^18
-    points (6 MiB of coordinates alone) do not.  On a 2-core Xeon with
-    2 MiB of L2 per core, the 512-radius grid of 3D gauss at two points
-    took, as medians of 30 interleaved repeats in each of four sweeps,
-    0.057-0.075 s at 2^15, 0.062-0.077 s at 2^14 and 0.068-0.090 s at
-    2^13 and 2^16; all four sizes give bitwise equal averages in 1D, 2D
-    and 3D.  Below 2^13 a 3D chunk holds 2 radii, so the direction sums
-    go through another matrix-vector kernel and change in the last bits.
-
-    A chunk is checked through its direction sums: the weights are
-    positive, so a non-finite value leaves its radius's sum non-finite,
-    and only then are the chunk's values searched for the first
-    non-finite point.  A sum that overflows from finite values is not
-    refused.
+    a _GAP_NODES-node Gauss-Legendre rule on each piece
+    (:func:`_piece_integrals`).  A 1D piece is cut again where x + s or
+    x - s meets a kink of f.  With a scale, the annuli are
+    scale * lo < |y - x| < scale * hi, integrals / scale^n.
     """
-    n = f.dimension
-    dirs, wdir = _ball_directions(n, quadrature.radial_order, quadrature.angular_order)
-    m = len(dirs)
-    dirs_t = np.ascontiguousarray(dirs.T)
+    dirs, wdir = _ball_directions(f.dimension, quadrature.radial_order, quadrature.angular_order)
     pieces = np.maximum(1, np.ceil((hi - lo) / (_MAX_PIECE * hi))).astype(int)
     gap = np.repeat(np.arange(len(lo)), pieces)
     j = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -567,6 +583,36 @@ def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
         ends = np.union1d(np.append(a, hi[-1]), cuts)
         a, b = ends[:-1], ends[1:]
         gap = np.searchsorted(hi, a, side="right")
+    integrals = _piece_integrals(f, x, a, b, np.ascontiguousarray(dirs.T), wdir, scale)
+    return np.bincount(gap, weights=integrals, minlength=len(lo))
+
+
+def _piece_integrals(f, x, a, b, dirs_t, wdir, scale=1.0) -> np.ndarray:
+    """Integral over each piece a[i] < s < b[i] of s^(n-1) times the
+    direction sum (directions ``dirs_t``, (n, m), weights ``wdir``) of
+    f(x + scale s u), by the _GAP_NODES-node Gauss-Legendre rule.
+
+    The shell points are evaluated _CHUNK_POINTS // m radii at a time,
+    written into one coordinate buffer that the call reuses: one einsum
+    writes every radius times every direction, then x is added.  At 2^15
+    points a 3D chunk is 16 radii x 2,048 directions, 768 KiB of
+    coordinates; with the values and a batch evaluator's one-column
+    temporaries it stays near a 2 MiB L2 cache, which 2^18 points (6 MiB
+    of coordinates alone) do not.  On a 2-core Xeon with 2 MiB of L2 per
+    core, the 512-radius grid of 3D gauss at two points took, as medians
+    of 30 interleaved repeats in each of four sweeps, 0.057-0.075 s at
+    2^15, 0.062-0.077 s at 2^14 and 0.068-0.090 s at 2^13 and 2^16; all
+    four sizes give bitwise equal averages in 1D, 2D and 3D.  Below 2^13
+    a 3D chunk holds 2 radii, so the direction sums go through another
+    matrix-vector kernel and change in the last bits.
+
+    A chunk is checked through its direction sums: the weights are
+    positive, so a non-finite value leaves its radius's sum non-finite,
+    and only then are the chunk's values searched for the first
+    non-finite point.  A sum that overflows from finite values is not
+    refused.
+    """
+    n, m = dirs_t.shape
     half = 0.5 * (b - a)
     s = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
     scaled = s * scale
@@ -584,10 +630,10 @@ def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
         pts = coords.reshape(n, -1).T
         vals = f.evaluate_many(pts)
         shell[i : i + k] = vals.reshape(-1, m) @ wdir
-        if not np.all(np.isfinite(shell[i : i + k])):
+        if not np.isfinite(shell[i : i + k]).all():
             _check_finite(vals, pts)
     radial = (s ** (n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
-    return np.bincount(gap, weights=half * radial, minlength=len(lo))
+    return half * radial
 
 
 def sphere_average_derivative(
@@ -702,8 +748,9 @@ def make_abs() -> DirectionalFunction:
 
 def make_gauss(s: float, n: int = 1) -> DirectionalFunction:
     """exp(-|x|^2 / (2 s^2)): smooth, gradient oracle, effective support 6s."""
-    if s <= 0:
-        raise ValueError(f"gauss width must be > 0, got {s}")
+    # below about 7.5e-155, 1/s^2 overflows (and s^2 underflows to 0)
+    if not (s > 0 and s * s > 0 and math.isfinite(1.0 / (s * s))):
+        raise ValueError(f"gauss width must be > 0 with a finite 1/s^2, got {s}")
     inv = 1.0 / (s * s)
 
     def ev(x):

@@ -10,7 +10,9 @@ The grid averages are one cumulative shell profile
 over the first ball as an annulus from 0, then over each annulus between
 grid radii, cut in 1D at the declared kinks of f.  Refinement extends that
 profile from the nearest grid radius below, so it reproduces the grid
-values exactly and never compares two rules.
+values exactly and never compares two rules: each call builds one
+``funcspace._ShellProfile`` from the grid averages, and a Brent probe
+computes only its own annulus.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and
 value(inf) = the flat tail of the averages.
 """
@@ -29,8 +31,9 @@ from .funcspace import (
     _box_grid,
     _box_text,
     _direction,
+    _ShellProfile,
+    _check_finite,
     _point,
-    _profile_at,
     absolute,
     ball_average,
     ball_average_radii,
@@ -176,19 +179,21 @@ def maximal(
 
     candidates = []
     if lam == 0.0:
-        candidates.append((0.0, abs(f(x))))
+        at_x = abs(f(x))
+        _check_finite(np.array([at_x]), x[None, :])
+        candidates.append((0.0, at_x))
 
     spread = float(np.max(avgs) - np.min(avgs))
     scale = 1.0 + float(np.max(np.abs(avgs)))
     flat = spread < 1e-13 * scale
-    if flat and lam == 0.0 and abs(abs(f(x)) - avgs[0]) < 1e-12 * scale:
+    if flat and lam == 0.0 and abs(at_x - avgs[0]) < 1e-12 * scale:
         # constant averages at every radius: the whole range attains the sup
-        value = abs(f(x))
+        value = at_x
         rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True})
         return value, rset
 
     # refine on the coarse stage's own shell profile: one rule throughout
-    fn = lambda r: _profile_at(absf, x, grid, avgs, r)  # noqa: E731
+    profile = _ShellProfile(absf, x, grid, avgs)
     interior = np.flatnonzero(
         (avgs[1:-1] >= avgs[:-2]) & (avgs[1:-1] >= avgs[2:])
     ) + 1
@@ -205,7 +210,7 @@ def maximal(
     if avgs[-1] >= avgs[-2] and avgs[-1] >= grid_best - margin:
         brackets.append((grid[-2], grid[-1]))
     for a, b in brackets:
-        r_star, v_star = _brent_max(fn, a, b)
+        r_star, v_star = _brent_max(profile, a, b)
         candidates.append((float(r_star), float(v_star)))
 
     best = max(v for _, v in candidates)

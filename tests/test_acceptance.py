@@ -87,27 +87,30 @@ def test_criterion_01_envelope_formula():
     target = (3.0 - SQRT7) / 2.0
 
     v, rset = maximal(tent, [2.0])
-    ok = abs(v - brute_tent_maximal(2.0)) < 1e-6 and abs(v - target) < 1e-6
+    ok = abs(v - verify.tent_maximal(2.0)) < 1e-6 and abs(v - target) < 1e-6
     fin = rset.finite()
     ok &= len(fin) == 1 and abs(fin[0] - SQRT7) < 1e-4
 
     h = 1e-4
+    probes = [float(x) for x in np.linspace(1.2, 3.0, 50)]
     worst_v = worst_d = 0.0
-    for x in np.linspace(1.2, 3.0, 50):
-        x = float(x)
+    for x in probes:
         vx, _ = maximal(tent, [x])
-        worst_v = max(worst_v, abs(vx - brute_tent_maximal(x)))
+        worst_v = max(worst_v, abs(vx - verify.tent_maximal(x)))
         d = maximal_directional_derivative(tent, [x], [1.0])
-        fd = (brute_tent_maximal(x + h) - brute_tent_maximal(x - h)) / (2.0 * h)
+        fd = (verify.tent_maximal(x + h) - verify.tent_maximal(x - h)) / (2.0 * h)
         worst_d = max(worst_d, abs(d - fd))
-    ok &= worst_v < 1e-6 and worst_d < 1e-3
+    # the closed form against the dense brute-force search at a few probes
+    cross = max(abs(verify.tent_maximal(x) - brute_tent_maximal(x)) for x in probes[:6])
+    ok &= worst_v < 1e-6 and worst_d < 1e-3 and cross <= 1e-9
     dt = time.perf_counter() - t0
     ok &= dt < 30.0
     report(
         1,
         "envelope formula on the tent (value, best radius, 50-probe derivative)",
         ok,
-        f"value err {worst_v:.2e}, deriv err {worst_d:.2e}, {dt:.1f}s",
+        f"value err {worst_v:.2e}, deriv err {worst_d:.2e}, "
+        f"brute cross-check {cross:.1e}, {dt:.1f}s",
     )
 
 

@@ -217,6 +217,23 @@ def test_gauss_dimension_parse_error_exits_2(capsys):
     assert "gauss dimension" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("width", ["1e-160", "1e-200"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dirderiv", "--point", "0", "--theta", "1", "--of", "function"],
+        ["maximal-field", "--box=-1,1", "--res", "3", "--out", "f.csv"],
+    ],
+)
+def test_gauss_width_with_infinite_inverse_square_exits_1(width, argv, tmp_path, monkeypatch, capsys):
+    # 1e-160 gave NaN at 0 with exit 0 (a "derivative": NaN, a row 0,nan,0);
+    # 1e-200 ended in a ZeroDivisionError traceback
+    monkeypatch.chdir(tmp_path)
+    assert run(argv[:1] + ["--function", f"gauss({width})"] + argv[1:]) == 1
+    assert f"gauss width must be > 0 with a finite 1/s^2, got {width}" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -138,16 +139,15 @@ def test_ball_average_nonfinite_propagates_point():
 
 
 def _counting(f):
-    """f with a batch evaluator that records the size of every batch."""
+    """f, kinks and all, with a batch evaluator that records the size of
+    every batch."""
     sizes = []
 
     def batch(pts):
         sizes.append(len(pts))
         return f.batch_evaluator(pts)
 
-    return DirectionalFunction(
-        evaluator=f.evaluator, dimension=f.dimension, batch_evaluator=batch
-    ), sizes
+    return replace(f, batch_evaluator=batch), sizes
 
 
 @pytest.mark.parametrize(
@@ -412,6 +412,62 @@ def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
     assert np.all(got == want)
 
 
+def _probe_reference(f, x, radii, averages, r):
+    """A radius search's probe at r as one annulus integral: the tabulated
+    integral up to the largest radius g <= r plus the annulus (g, r)."""
+    k = int(np.searchsorted(radii, r, side="right")) - 1
+    g, n = float(radii[k]), f.dimension
+    vol = unit_ball_volume(n)
+    annulus = funcspace._annulus_integrals(f, x, np.array([g]), np.array([r]), DEFAULT_QUADRATURE)
+    return float((averages[k] * vol * g**n + annulus[0]) / (vol * r**n))
+
+
+@pytest.mark.parametrize(
+    "f, x, radii, probes",
+    [
+        (make_gauss(0.5), [0.3], np.geomspace(1e-3, 5.0, 64), [0.0123, 0.77, 1.31, 4.99]),
+        # the tent's kinks lie 0.3, 0.7 and 1.3 from x: (0.2, 0.45) is cut at 0.3
+        (funcspace.make_tent(), [0.3], [0.1, 0.2, 0.5, 1.0, 2.0], [0.45, 0.21, 0.8, 1.7]),
+        (make_maxaffine([[1.0], [-0.5], [0.25]], [0.0, 0.3, -0.2]), [-0.37], [0.05, 0.6, 2.0], [0.3, 1.1, 1.95]),
+        (make_gauss(0.5, 2), [0.7, 0.4], np.geomspace(1e-2, 4.0, 32), [0.0101, 0.5, 3.9]),
+        (make_gauss(0.5, 3), [1.3, 0.2, -0.1], [0.1, 1.0, 3.0], [0.105, 2.47]),
+    ],
+    ids=["gauss-1d", "tent", "maxaffine-1d", "gauss-2d", "gauss-3d"],
+)
+def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes):
+    # a probe is the annulus integral of its own gap, piece for piece: every
+    # value is bitwise the reference's, from 4 shells on each of its pieces
+    # (a multi-piece gap in every case: (1, 2.47) is 12 pieces in 3D)
+    f, sizes = _counting(absolute(f))
+    x, radii = np.array(x), np.array(radii, dtype=float)
+    out = ball_average_radii(f, x, radii)
+    profile = funcspace._ShellProfile(f, x, radii, out)
+    m = len(profile.wdir)
+    cuts = np.abs(np.array(f.kinks) - x[0]) if f.kinks else np.zeros(0)
+    many = 0
+    for r in probes:
+        g = radii[np.searchsorted(radii, r, side="right") - 1]
+        pieces = max(1, math.ceil((r - g) / (funcspace._MAX_PIECE * r)))
+        pieces += int(np.sum((cuts > g) & (cuts < r)))
+        many += pieces > 1
+        del sizes[:]
+        got = profile(r)
+        assert sum(sizes) == funcspace._GAP_NODES * m * pieces
+        assert got == _probe_reference(f, x, radii, out, r)
+    assert many
+
+
+@pytest.mark.parametrize("s", [0.0, -1.0, math.nan, 7.45e-155, 1e-160, 1e-200])
+def test_gauss_width_needs_a_finite_inverse_square(s):
+    # 1e-160 gave NaN at 0 and 1e-200 a ZeroDivisionError, as 1/s^2 overflows
+    with pytest.raises(ValueError, match=f"gauss width must be > 0 with a finite 1/s\\^2, got {s}"):
+        make_gauss(s)
+    if s > 0:
+        with pytest.raises(ValueError, match="gauss width"):
+            parse_function_spec(f"gauss({s})")
+    assert make_gauss(7.46e-155)([0.0]) == 1.0
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_gauss_batch_matches_row_sums_bitwise(n):
     s = 0.37
@@ -438,7 +494,7 @@ def test_shell_profile_matches_ball_average_and_extends_exactly(case):
     out = ball_average_radii(f, x, radii)
     for k, r in enumerate(radii):
         # the refinement's extension returns the tabulated value itself
-        assert funcspace._profile_at(f, x, radii, out, float(r)) == out[k]
+        assert funcspace._ShellProfile(f, x, radii, out)(float(r)) == out[k]
         assert abs(out[k] - ball_average(f, x, r)) <= 1e-10
 
 
@@ -448,12 +504,11 @@ def test_profile_extension_between_radii(n):
     x = np.array([1.0, 0.3, 0.0][:n])
     radii = np.geomspace(0.01, 4.0, 64)
     out = ball_average_radii(f, x, radii)
+    profile = funcspace._ShellProfile(f, x, radii, out)
     for r in (0.0123, 0.77, 1.3, 3.99):
-        assert funcspace._profile_at(f, x, radii, out, r) == pytest.approx(
-            ball_average(f, x, r), abs=1e-12
-        )
+        assert profile(r) == pytest.approx(ball_average(f, x, r), abs=1e-12)
     with pytest.raises(ValueError, match="below"):
-        funcspace._profile_at(f, x, radii, out, 0.005)
+        profile(0.005)
 
 
 def _linear_integral(f, breaks, u, v, absolute_value):
@@ -518,7 +573,8 @@ def test_shell_profile_is_exact_on_piecewise_linear_functions(case):
     between = between[(between > radii[0]) & (between < radii[-1])]
     for g, absolute_value in ((f, False), (absolute(f), True)):
         out = ball_average_radii(g, [x], radii)
-        got = list(out) + [funcspace._profile_at(g, np.array([x]), radii, out, r) for r in between]
+        profile = funcspace._ShellProfile(g, np.array([x]), radii, out)
+        got = list(out) + [profile(r) for r in between]
         for avg, r in zip(got, list(radii) + list(between)):
             ref = _linear_integral(f, breaks, x - r, x + r, absolute_value) / (2.0 * r)
             assert abs(avg - ref) <= 1e-12 * (1.0 + abs(ref))

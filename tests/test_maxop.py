@@ -15,7 +15,7 @@ from scipy.optimize import minimize_scalar
 
 import tangentia
 from tangentia import maxop, verify
-from tangentia.errors import MaximalBlowupError
+from tangentia.errors import MaximalBlowupError, NumericDomainError
 from tangentia.funcspace import DirectionalFunction, ball_average, parse_function_spec
 from tangentia.maxop import (
     check_translation_bound,
@@ -199,6 +199,25 @@ def test_r_max_non_finite_rejected(r_max):
         maximal(tent(), [0.0], r_max=r_max)
     with pytest.raises(ValueError, match="r_max must be finite"):
         maximal_field(tent(), ([-1.0], [1.0]), 3, r_max=r_max)
+
+
+def test_non_finite_value_at_the_centre_is_refused():
+    # f is NaN only at x, which no ball average evaluates: the r = 0
+    # candidate |f(x)| made maximal return NaN
+    x = 0.3
+
+    def batch(pts):
+        return np.where(pts[:, 0] == x, math.nan, np.exp(-pts[:, 0] ** 2))
+
+    f = DirectionalFunction(
+        evaluator=lambda y: float(batch(y[None, :])[0]), dimension=1, batch_evaluator=batch
+    )
+    with pytest.raises(NumericDomainError) as err:
+        maximal(f, [x])
+    assert err.value.point == (x,)
+    assert math.isnan(err.value.value)
+    # with lambda > 0 the centre is no candidate
+    assert math.isfinite(maximal(f, [x], lam=0.5)[0])
 
 
 def test_discontinuous_rejected():
