@@ -69,6 +69,13 @@ class DirectionalFunction:
     as smooth, as every 2D and 3D f is; an undeclared kink costs up to
     about 1e-5 in a maximal value (the tent without its kinks at 100
     seeded points in [-3, 3]: 8.2e-6 worst, against 1.2e-15 with them).
+
+    ``zero_outside`` is a radius R >= 0 about the origin beyond which
+    (|y| >= R) both evaluators return exactly 0.0; None declares none.
+    Ball averages skip the shells that cannot meet B(0, R) and write 0.0
+    for them, which is what evaluating f there would give, so every
+    result is bitwise the same as without R.  ``gauss`` and ``tent``
+    declare it; ``absolute`` keeps it.
     """
 
     evaluator: Callable[[np.ndarray], float]
@@ -81,6 +88,7 @@ class DirectionalFunction:
     label: str = ""
     domain: Optional[Tuple[np.ndarray, np.ndarray]] = None
     kinks: Tuple[float, ...] = ()
+    zero_outside: Optional[float] = None
 
     def __call__(self, x) -> float:
         return float(self.evaluator(_point(x, self.dimension)))
@@ -98,7 +106,8 @@ class DirectionalFunction:
 
 
 def absolute(f: DirectionalFunction) -> DirectionalFunction:
-    """|f|, preserving the Lipschitz bound, support, kinks and oracle.
+    """|f|, preserving the Lipschitz bound, support, kinks, zero radius
+    and oracle.
 
     At points with f(x) = 0 the one-sided derivative of |f| is |D_theta f|.
     """
@@ -517,8 +526,8 @@ class _ShellProfile:
     gives, bit for bit, and a search that mixes tabulated and new radii
     compares values of one rule.  What every probe shares is set up once:
     the directions and their weights, the unit-ball volume, the radii and
-    averages as floats and, in 1D, the sorted distances |k - x| of the
-    kinks k of f.
+    averages as floats, the shell radii that can meet f's zero ball and,
+    in 1D, the sorted distances |k - x| of the kinks k of f.
     """
 
     def __init__(self, f: DirectionalFunction, x: np.ndarray, radii, averages):
@@ -529,6 +538,7 @@ class _ShellProfile:
         self.f, self.x, self.n = f, x, f.dimension
         self.radii, self.averages = np.asarray(radii).tolist(), np.asarray(averages).tolist()
         self.cuts = sorted(np.abs(np.asarray(f.kinks) - x[0]).tolist()) if f.kinks else None
+        self.reach = _zero_ball_reach(f, x)
 
     def __call__(self, r: float) -> float:
         k = bisect.bisect_right(self.radii, r) - 1
@@ -551,7 +561,7 @@ class _ShellProfile:
             if hi > lo:
                 ends = np.union1d(ends, self.cuts[lo:hi])
             a, b = ends[:-1], ends[1:]
-        integrals = _piece_integrals(self.f, self.x, a, b, self.dirs_t, self.wdir)
+        integrals = _piece_integrals(self.f, self.x, a, b, self.dirs_t, self.wdir, 1.0, self.reach)
         annulus = np.add.accumulate(integrals)[-1]
         n, vol = self.n, self.vol
         return float((self.averages[k] * vol * g**n + annulus) / (vol * r**n))
@@ -583,11 +593,12 @@ def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
         ends = np.union1d(np.append(a, hi[-1]), cuts)
         a, b = ends[:-1], ends[1:]
         gap = np.searchsorted(hi, a, side="right")
-    integrals = _piece_integrals(f, x, a, b, np.ascontiguousarray(dirs.T), wdir, scale)
+    dirs_t, reach = np.ascontiguousarray(dirs.T), _zero_ball_reach(f, x)
+    integrals = _piece_integrals(f, x, a, b, dirs_t, wdir, scale, reach)
     return np.bincount(gap, weights=integrals, minlength=len(lo))
 
 
-def _piece_integrals(f, x, a, b, dirs_t, wdir, scale=1.0) -> np.ndarray:
+def _piece_integrals(f, x, a, b, dirs_t, wdir, scale=1.0, reach=None) -> np.ndarray:
     """Integral over each piece a[i] < s < b[i] of s^(n-1) times the
     direction sum (directions ``dirs_t``, (n, m), weights ``wdir``) of
     f(x + scale s u), by the _GAP_NODES-node Gauss-Legendre rule.
@@ -611,29 +622,62 @@ def _piece_integrals(f, x, a, b, dirs_t, wdir, scale=1.0) -> np.ndarray:
     and only then are the chunk's values searched for the first
     non-finite point.  A sum that overflows from finite values is not
     refused.
+
+    When f declares ``zero_outside`` = R, the caller passes the
+    ``reach`` of :func:`_zero_ball_reach`, and only the radii whose shell
+    can meet B(0, R), |x| - R <= scale s <= |x| + R with a margin for
+    rounding, are evaluated (the pieces ascend, as every caller builds
+    them).  The others get the direction sum 0.0 that their zero values
+    would give.  A chunk keeps its shape: the values of a partly
+    evaluated chunk are padded with zeros before the same matrix-vector
+    product, so every sum is bitwise the one without R.  The shells
+    beyond R are also where np.exp takes its slow underflow path
+    (arguments below about -708): on the 512-radius grid of 3D
+    gauss(0.5) at two points they were 14 % of the evaluations and
+    about 40 % of the time.
     """
     n, m = dirs_t.shape
     half = 0.5 * (b - a)
     s = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
     scaled = s * scale
-    shell = np.empty(len(s))
+    first, last = (0, len(s)) if reach is None else scaled.searchsorted(reach).tolist()
+    shell = np.zeros(len(s))
     per_chunk = max(1, _CHUNK_POINTS // m)
     buf = np.empty(n * min(per_chunk, len(s)) * m)
     for i in range(0, len(s), per_chunk):
         k = min(per_chunk, len(s) - i)
+        lo, hi = max(i, first), min(i + k, last)
+        if lo >= hi:
+            continue  # f is 0.0 on every shell of the chunk
         # coordinate-major (n, radii, m): the transpose of an (n, points)
         # array, so per-coordinate work in a batch evaluator (sums of
         # squares, differences) reads unit strides
-        coords = buf[: n * k * m].reshape(n, k, m)
-        np.einsum("k,cm->ckm", scaled[i : i + k], dirs_t, out=coords)
+        coords = buf[: n * (hi - lo) * m].reshape(n, hi - lo, m)
+        np.einsum("k,cm->ckm", scaled[lo:hi], dirs_t, out=coords)
         coords += x[:, None, None]
         pts = coords.reshape(n, -1).T
         vals = f.evaluate_many(pts)
-        shell[i : i + k] = vals.reshape(-1, m) @ wdir
+        rows = vals.reshape(-1, m)
+        if hi - lo < k:  # the zeros of the skipped shells
+            padded = np.zeros((k, m))
+            padded[lo - i : hi - i] = rows
+            rows = padded
+        shell[i : i + k] = rows @ wdir
         if not np.isfinite(shell[i : i + k]).all():
             _check_finite(vals, pts)
     radial = (s ** (n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
     return half * radial
+
+
+def _zero_ball_reach(f, x):
+    """The shell radii [lo, hi] about x that can meet B(0, f.zero_outside),
+    widened by 1e-9 (|x| + R) for the rounding of the shell points; None
+    when f declares no zero radius or |x| overflows."""
+    R = f.zero_outside
+    if R is None or not math.isfinite(d := math.hypot(*x)):
+        return None
+    margin = 1e-9 * (d + R)
+    return np.array([d - R - margin, d + R + margin])
 
 
 def sphere_average_derivative(
@@ -667,7 +711,8 @@ def sphere_average_derivative(
 
 
 def make_tent() -> DirectionalFunction:
-    """1D tent max(0, 1 - |y|): Lipschitz 1, kinks at -1, 0, 1."""
+    """1D tent max(0, 1 - |y|): Lipschitz 1, kinks at -1, 0, 1, exactly 0
+    for |y| >= 1."""
 
     def ev(x):
         return max(0.0, 1.0 - abs(x[0]))
@@ -699,6 +744,7 @@ def make_tent() -> DirectionalFunction:
         support=(np.array([-1.0]), np.array([1.0])),
         label="tent",
         kinks=(-1.0, 0.0, 1.0),
+        zero_outside=1.0,
     )
 
 
@@ -747,10 +793,24 @@ def make_abs() -> DirectionalFunction:
 
 
 def make_gauss(s: float, n: int = 1) -> DirectionalFunction:
-    """exp(-|x|^2 / (2 s^2)): smooth, gradient oracle, effective support 6s."""
+    """exp(-|x|^2 / (2 s^2)): smooth, with a gradient oracle.
+
+    The effective support, half-width 6s (f < 1.6e-8 beyond), sizes the
+    radius search; f is exactly 0.0 only beyond ``zero_outside`` =
+    sqrt(1500) s, about 38.7 s, where the exponent reaches -750 (exp
+    rounds to 0.0 below -745.1).  A width above about 3.4e152 is refused:
+    |x|^2 would overflow inside that radius, and above 1.3e154 s^2 itself
+    overflows, leaving f 1 near 0 and NaN far out.
+    """
     # below about 7.5e-155, 1/s^2 overflows (and s^2 underflows to 0)
     if not (s > 0 and s * s > 0 and math.isfinite(1.0 / (s * s))):
         raise ValueError(f"gauss width must be > 0 with a finite 1/s^2, got {s}")
+    zero_outside = math.sqrt(1500.0) * s
+    if not math.isfinite(zero_outside * zero_outside):
+        raise ValueError(
+            f"gauss width {s} is too wide: |x|^2 overflows inside its zero "
+            "radius sqrt(1500) s (the width may be at most about 3.4e152)"
+        )
     inv = 1.0 / (s * s)
 
     def ev(x):
@@ -776,6 +836,7 @@ def make_gauss(s: float, n: int = 1) -> DirectionalFunction:
         batch_evaluator=batch,
         support=(np.full(n, -6.0 * s), np.full(n, 6.0 * s)),
         label=f"gauss({s})",
+        zero_outside=zero_outside,
     )
 
 

@@ -109,12 +109,21 @@ def _brent_max(fn, a: float, b: float):
 
 
 def _default_r_max(f: DirectionalFunction, x: np.ndarray) -> float:
-    if f.support is not None:
-        lo, hi = f.support
-        diam = float(np.linalg.norm(hi - lo))
-        center = 0.5 * (lo + hi)
-        return 10.0 * (diam + float(np.linalg.norm(x - center)) + 1.0)
-    return 50.0 * (1.0 + float(np.linalg.norm(x)))
+    """Ten times the support's diameter plus the distance of x from its
+    center, else 50 (1 + |x|); inf where that overflows."""
+    with np.errstate(over="ignore"):
+        if f.support is not None:
+            lo, hi = f.support
+            center = 0.5 * (lo + hi)
+            return 10.0 * (_norm(hi - lo) + _norm(x - center) + 1.0)
+        return 50.0 * (1.0 + _norm(x))
+
+
+def _norm(v: np.ndarray) -> float:
+    """|v|: np.linalg.norm, whose bits the default radius grid keeps, or
+    hypot where its sum of squares overflows."""
+    r = float(np.linalg.norm(v))
+    return r if math.isfinite(r) else math.hypot(*v)
 
 
 def _check_reach(f: DirectionalFunction, points: np.ndarray, r_max):
@@ -161,6 +170,11 @@ def maximal(
     absf = absolute(f)
     if r_max is None:
         r_max = _default_r_max(f, x)
+        if not math.isfinite(r_max):
+            raise ValueError(
+                f"the default r_max at x={x.tolist()} is infinite; give a "
+                "finite r_max (--r-max on the command line)"
+            )
     if not math.isfinite(r_max):
         raise ValueError(f"r_max must be finite, got {r_max}")
     if r_max <= max(lam, _R_MIN_FLOOR):

@@ -378,6 +378,31 @@ def test_dirderiv_of_maximal_on_grid_function_takes_r_max(tmp_path, capsys):
     assert abs(derivative - (-2.0 / math.e)) < 0.01
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["maximal-field", "--function", "gauss(1e300)", "--box=-1,1", "--res", "3"],
+         "gauss width 1e+300 is too wide"),
+        (["maximal-field", "--function", "gauss(1e154)", "--box=-1,1", "--res", "3"],
+         "gauss width 1e+154 is too wide"),
+        (["maximal-field", "--function", "abs", "--box=1e307,1.5e307", "--res", "3"],
+         "the default r_max at x=[1e+307] is infinite; give a finite r_max (--r-max"),
+        (["dirderiv", "--function", "abs", "--point", "1.5e307", "--theta", "1",
+          "--of", "maximal", "--lambda", "1"],
+         "the default r_max at x=[1.5e+307] is infinite"),
+    ],
+)
+def test_overflowing_default_range_exits_1_by_name(argv, message, tmp_path, monkeypatch, capfd):
+    # these printed numpy's "overflow encountered in dot", then blamed an
+    # r_max the user never gave
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out", "f.csv"]) == 1
+    err = capfd.readouterr().err
+    assert message in err
+    assert "RuntimeWarning" not in err and "r_max must be finite" not in err
+    assert not (tmp_path / "f.csv").exists()
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 

@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tangentia import funcspace
@@ -194,9 +195,20 @@ def test_ball_average_radii_cost_and_chunks(n, evals):
     # the maximal-operator grid: the first ball as 20 pieces of 4 shells
     # from 0, then 4 shells per gap, in batches of at most _CHUNK_POINTS
     # points
-    f, sizes = _counting(make_gauss(0.5, n))
+    # (of a gauss that declares no zero radius, so every shell is evaluated)
+    f, sizes = _counting(replace(make_gauss(0.5, n), zero_outside=None))
     radii = np.geomspace(1e-3, 100.0, 512)
     ball_average_radii(f, np.full(n, 0.2), radii)
+    assert sum(sizes) == evals
+    assert max(sizes) <= funcspace._CHUNK_POINTS
+
+
+@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 3_758_080)])
+def test_ball_average_radii_cost_with_zero_radius(n, evals):
+    # gauss(0.5) declares its zero radius 19.36, so on the same grid the
+    # shells beyond 19.36 + |x| (radii up to 100) are not evaluated
+    f, sizes = _counting(make_gauss(0.5, n))
+    ball_average_radii(f, np.full(n, 0.2), np.geomspace(1e-3, 100.0, 512))
     assert sum(sizes) == evals
     assert max(sizes) <= funcspace._CHUNK_POINTS
 
@@ -438,7 +450,8 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
     # a probe is the annulus integral of its own gap, piece for piece: every
     # value is bitwise the reference's, from 4 shells on each of its pieces
     # (a multi-piece gap in every case: (1, 2.47) is 12 pieces in 3D)
-    f, sizes = _counting(absolute(f))
+    # (f without its zero radius, so every shell of a probe is evaluated)
+    f, sizes = _counting(absolute(replace(f, zero_outside=None)))
     x, radii = np.array(x), np.array(radii, dtype=float)
     out = ball_average_radii(f, x, radii)
     profile = funcspace._ShellProfile(f, x, radii, out)
@@ -476,6 +489,129 @@ def test_gauss_batch_matches_row_sums_bitwise(n):
     batch = make_gauss(s, n).batch_evaluator
     for p in (pts, np.ascontiguousarray(pts.T).T):  # C-ordered, coordinate-major
         assert np.all(batch(p) == np.exp(-0.5 * inv * np.sum(p * p, axis=1)))
+
+
+@pytest.mark.parametrize("s", [3.5e152, 1e154, 1e300, math.inf])
+def test_gauss_width_too_wide_is_refused(s):
+    # above about 3.4e152, |x|^2 overflows inside the zero radius, where f
+    # is not yet 0.0; above 1.3e154 s^2 itself overflows and f is NaN far out
+    with pytest.raises(ValueError, match=re.escape(f"gauss width {s} is too wide")):
+        make_gauss(s)
+    assert math.isfinite(make_gauss(3.4e152, 3).zero_outside ** 2)
+
+
+# ---------------------------------------------------------------------------
+# zero_outside: the radius beyond which f is exactly 0.0
+
+
+def test_zero_radius_declared_by_gauss_and_tent_only():
+    assert make_gauss(0.5, 3).zero_outside == math.sqrt(1500.0) * 0.5
+    assert funcspace.make_tent().zero_outside == 1.0
+    for spec in ("abs", "maxaffine[(1,0),(-1,0)]", "dist[(0,0)]", "infconv(abs,1)"):
+        assert parse_function_spec(spec).zero_outside is None
+    assert GridFunction((0.0,), (1.0,), (2,), np.zeros(2)).as_function().zero_outside is None
+    f = make_gauss(0.5, 2)
+    assert absolute(f).zero_outside == f.zero_outside
+    assert replace(f, label="g").zero_outside == f.zero_outside
+
+
+@settings(max_examples=200)
+@given(
+    st.sampled_from([1, 2, 3]),
+    st.floats(-150.0, 150.0),
+    st.floats(1.0, 1e6),
+    st.integers(0, 2**32 - 1),
+)
+def test_gauss_is_exactly_zero_beyond_its_zero_radius(n, log_s, t, seed):
+    f = make_gauss(10.0**log_s, n)
+    u = np.random.default_rng(seed).normal(size=n)
+    y = u / np.linalg.norm(u) * (t * f.zero_outside)
+    assume(math.hypot(*y) >= f.zero_outside)
+    with np.errstate(over="ignore"):  # an overflowing |y|^2 gives exp(-inf) = 0
+        assert f.evaluator(y) == 0.0
+        assert f.batch_evaluator(y[None, :])[0] == 0.0
+
+
+@given(st.floats(1.0, 1e300), st.booleans())
+def test_tent_is_exactly_zero_beyond_its_zero_radius(t, negative):
+    f = funcspace.make_tent()
+    y = np.array([-t if negative else t])
+    assert f.evaluator(y) == 0.0
+    assert f.batch_evaluator(y[None, :])[0] == 0.0
+
+
+# (f, x): x inside and outside B(0, R); gauss(0.5) has R = 19.36
+_ZERO_CASES = [
+    (make_gauss(0.5), [0.3]),
+    (make_gauss(0.5), [25.0]),
+    (make_gauss(0.5, 2), [0.7, -0.4]),
+    (make_gauss(0.5, 2), [15.0, -14.0]),
+    (make_gauss(0.5, 3), [1.3, 0.2, -0.1]),
+    (make_gauss(0.5, 3), [20.0, 5.0, 3.0]),
+    (funcspace.make_tent(), [0.3]),
+    (funcspace.make_tent(), [2.5]),
+]
+_ZERO_IDS = ["gauss-1d-in", "gauss-1d-out", "gauss-2d-in", "gauss-2d-out",
+             "gauss-3d-in", "gauss-3d-out", "tent-in", "tent-out"]
+
+
+@pytest.mark.parametrize("f, x", _ZERO_CASES, ids=_ZERO_IDS)
+def test_zero_radius_leaves_averages_and_probes_bitwise(f, x):
+    # the shells off B(0, R) are skipped, yet every average and every probe
+    # of the radius search is bitwise that of f without its zero radius
+    x = np.array(x)
+    R, d = f.zero_outside, float(np.linalg.norm(x))
+    g, sizes = _counting(absolute(f))
+    h, all_sizes = _counting(absolute(replace(f, zero_outside=None)))
+    rng = np.random.default_rng(0)
+    for radii in (np.geomspace(1e-3, 5.0 * (d + R), 512), np.array([0.0, 0.5 * R, d + R, 3.0 * (d + R)])):
+        got, want = ball_average_radii(g, x, radii), ball_average_radii(h, x, radii)
+        assert got.tobytes() == want.tobytes()
+        probe, reference = funcspace._ShellProfile(g, x, radii, got), funcspace._ShellProfile(h, x, radii, want)
+        for r in rng.uniform(radii[0], 1.2 * radii[-1], 60):
+            assert probe(r) == reference(r)
+    assert sum(sizes) < sum(all_sizes)
+
+
+@pytest.mark.parametrize(
+    "f, x, near",
+    [
+        (funcspace.make_tent(), [2.5], 1.4),
+        (make_gauss(0.5), [25.0], 5.6),
+        (make_gauss(0.5, 2), [-20.0, 3.0], 0.8),
+        (make_gauss(0.5, 3), [20.0, 5.0, 3.0], 1.4),
+    ],
+    ids=["tent", "gauss-1d", "gauss-2d", "gauss-3d"],
+)
+def test_zero_radius_skips_every_shell_short_of_the_ball(f, x, near):
+    # every ball about x up to radius `near` < |x| - R misses B(0, R): no
+    # point is evaluated and every average is 0.0, as without R
+    x = np.array(x)
+    assert near < np.linalg.norm(x) - f.zero_outside
+    g, sizes = _counting(f)
+    radii = np.geomspace(1e-3, near, 64)
+    out = ball_average_radii(g, x, radii)
+    assert out.tobytes() == ball_average_radii(replace(f, zero_outside=None), x, radii).tobytes()
+    assert np.all(out == 0.0)
+    profile = funcspace._ShellProfile(g, x, radii, out)
+    assert [profile(r) for r in np.linspace(2e-3, near, 7)] == [0.0] * 7
+    assert sizes == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_zero_radius_skips_every_annulus_beyond_the_ball(n):
+    # radii from just beyond |x| + R: only the first ball, which reaches
+    # from x across B(0, R), is evaluated, and the averages are bitwise
+    f = make_gauss(0.5, n)
+    x = np.full(n, 0.2)
+    radii = np.geomspace(f.zero_outside + 0.5, 60.0, 64)
+    g, sizes = _counting(f)
+    out = ball_average_radii(g, x, radii)
+    assert out.tobytes() == ball_average_radii(replace(f, zero_outside=None), x, radii).tobytes()
+    first = list(sizes)
+    del sizes[:]
+    assert ball_average(g, x, radii[0]) == out[0]
+    assert sizes == first
 
 
 @st.composite

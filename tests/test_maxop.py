@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import subprocess
 import sys
 import warnings
@@ -199,6 +200,45 @@ def test_r_max_non_finite_rejected(r_max):
         maximal(tent(), [0.0], r_max=r_max)
     with pytest.raises(ValueError, match="r_max must be finite"):
         maximal_field(tent(), ([-1.0], [1.0]), 3, r_max=r_max)
+
+
+@pytest.mark.parametrize("spec, x", [("abs", [1e307]), ("abs", [1.5e307]), ("gauss(1.0,2)", [1e308, -1e308])])
+def test_infinite_default_r_max_is_refused_by_name(spec, x):
+    # np.linalg.norm overflowed in a dot and the refusal blamed an r_max
+    # the caller never gave; warnings are errors in this suite
+    with pytest.raises(ValueError, match=r"default r_max .* is infinite.*--r-max"):
+        maximal(parse_function_spec(spec), x)
+
+
+def test_default_r_max_survives_an_overflowing_sum_of_squares():
+    # |x|^2 overflows, |x| does not: with and without a support
+    x = np.array([1e200, -1e200, 0.0])
+    unsupported = DirectionalFunction(evaluator=lambda y: 0.0, dimension=3)
+    assert maxop._default_r_max(unsupported, x) == pytest.approx(50.0 * math.sqrt(2.0) * 1e200, rel=1e-15)
+    gauss = parse_function_spec("gauss(0.5,3)")
+    assert maxop._default_r_max(gauss, x) == pytest.approx(10.0 * math.sqrt(2.0) * 1e200, rel=1e-15)
+    # below the overflow the default keeps np.linalg.norm's bits
+    f = parse_function_spec("gauss(0.5,3)")
+    x = np.array([1.3, 0.07, -0.02])
+    assert maxop._default_r_max(f, x) == 10.0 * (float(np.linalg.norm(np.full(3, 6.0))) + float(np.linalg.norm(x)) + 1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, points",
+    [
+        ("gauss(0.5)", [[0.0], [0.3], [1.7], [25.0]]),
+        ("gauss(0.5,2)", [[0.3, 0.2], [1.2, -0.4]]),
+        ("gauss(0.5,3)", [[0.3, 0.2, 0.1], [1.2, -0.4, 0.2]]),
+        ("tent", [[0.0], [0.3], [0.999], [1.5], [3.0]]),
+    ],
+)
+def test_zero_radius_leaves_maximal_bitwise(spec, points):
+    # values, radii and trace of maximal with the declared zero radius are
+    # bit for bit those of the same f without it
+    f = parse_function_spec(spec)
+    plain = dataclasses.replace(f, zero_outside=None)
+    for x in points:
+        assert pickle.dumps(maximal(f, x)) == pickle.dumps(maximal(plain, x))
 
 
 def test_non_finite_value_at_the_centre_is_refused():
