@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable, Optional, Tuple
@@ -364,14 +365,9 @@ class QuadratureConfig:
     normalized so the ball rule integrates 1 to the exact ball volume and
     the sphere rule to the exact surface area.
 
-    No estimator reads the ball rule itself: ``ball_average_radii``
-    integrates over its directions on annuli from radius 0, with
-    _GAP_NODES = 4 Gauss-Legendre radii per piece and pieces at most
-    _MAX_PIECE = 5 % of their outer radius wide, cut at f's kinks, and
-    evaluates at most _CHUNK_POINTS = 2^15 points at a time, a size that
-    keeps each batch near the L2 cache (see :func:`_piece_integrals`).
-    A radius search extends those averages to new radii with the same
-    pieces and directions, through one :class:`_ShellProfile`.
+    No estimator reads the ball rule itself: every ball average
+    integrates over its directions on annuli from radius 0, through one
+    :class:`_ShellProfile`.
     """
 
     radial_order: int = 32
@@ -390,7 +386,7 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-# shell profile of ball_average_radii (see _annulus_integrals)
+# the shell profile (see _ShellProfile)
 _GAP_NODES = 4  # Gauss-Legendre nodes per annulus piece
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAP_NODES)
 _MAX_PIECE = 0.05  # widest annulus piece, relative to its outer radius
@@ -468,21 +464,8 @@ def ball_average_radii(
     radii: np.ndarray,
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> np.ndarray:
-    """Averages of f over B(x, r) at finite, strictly ascending radii >= 0.
-
-    A radius 0 gives f(x).  The averages come from one cumulative radial
-    integral, the shell profile: the integral of f over the first
-    positive ball as an annulus from 0, then over each annulus between
-    consecutive radii (:func:`_annulus_integrals`).  Where consecutive
-    radii are close, as on the radius grid of ``maxop.maximal``, this
-    costs a few shells per radius instead of a whole ball.  A 1D shell is
-    the two points x +- s, so the pieces are cut where a shell meets one
-    of f's kinks: a piecewise-linear f is integrated exactly.  The memory
-    of one call does not grow with the number of radii: on the 512-radius
-    grid of ``maxop.maximal`` a 3D gauss peaks at about 1.5 MB.  A
-    :class:`_ShellProfile` built from the returned averages gives the same
-    profile at radii between them, bitwise as this call would.
-    """
+    """Averages of f over B(x, r) at finite, strictly ascending radii >= 0:
+    the ``table`` of one :class:`_ShellProfile` (a radius 0 gives f(x))."""
     x = _point(x, f.dimension)
     radii = np.asarray(radii, dtype=float)
     if radii.ndim != 1 or not (
@@ -493,52 +476,79 @@ def ball_average_radii(
         raise ValueError(
             f"radii must be finite, >= 0 and strictly ascending, got {radii}"
         )
-    out = np.empty(len(radii))
-    start = int(len(radii) > 0 and radii[0] == 0.0)
-    if start:
-        out[0] = f(x)
-        _check_finite(out[:1], x[None, :])
-    pos = radii[start:]
-    if len(pos) == 0:
-        return out
-    # the unit annulus from 0 scaled by pos[0] (a subnormal radius loses
-    # nothing), then one annulus per later radius
-    n = f.dimension
-    first = _annulus_integrals(f, x, np.zeros(1), np.ones(1), quadrature, pos[0])[0]
-    annuli = _annulus_integrals(f, x, pos[:-1], pos[1:], quadrature)
-    vol = unit_ball_volume(n)
-    out[start] = first / vol  # exactly ball_average's value
-    # pos[0] ** n may underflow to 0, so the first radius is not divided by it
-    totals = first * pos[0] ** n + np.cumsum(annuli)
-    out[start + 1 :] = totals / (vol * pos[1:] ** n)
-    return out
+    return _ShellProfile(f, x, radii, quadrature).table
+
+
+def _radius_limit(n: int) -> float:
+    """About the largest radius whose ball volume omega_n r^n is finite."""
+    return (sys.float_info.max / unit_ball_volume(n)) ** (1.0 / n)
 
 
 class _ShellProfile:
-    """The shell profile of ``ball_average_radii(f, x, radii)``, which
-    returned ``averages``, at any radius r >= radii[0].
+    """The ball averages of f about x from one cumulative radial integral:
+    ``table`` holds them at the ascending radii >= 0 it is built on (0
+    gives f(x)), and a call gives the average at any radius r >= radii[0].
 
-    A probe at r adds the annulus from the largest tabulated radius g <= r
-    to r, with the pieces of :func:`_annulus_integrals` on that one gap
-    (at most _MAX_PIECE of r wide, and in 1D cut at the kinks of f),
-    summed in the same order.  So it returns ``averages`` exactly at a
-    tabulated radius, anywhere else the value that annulus integral
-    gives, bit for bit, and a search that mixes tabulated and new radii
-    compares values of one rule.  What every probe shares is set up once:
-    the directions and their weights, the unit-ball volume, the radii and
-    averages as floats, the shell radii that can meet f's zero ball and,
-    in 1D, the sorted distances |k - x| of the kinks k of f.
+    The table integrates f over the first positive ball as an annulus
+    from 0, then over each annulus between consecutive radii
+    (:meth:`annulus_integrals`): on the close radii of the grid of
+    ``maxop.maximal`` a few shells per radius instead of a whole ball,
+    and a memory that does not grow with the number of radii (a 3D gauss
+    peaks at about 1.5 MB on that grid).  A 1D shell is the two points
+    x +- s, so the pieces are cut where a shell meets one of f's kinks:
+    a piecewise-linear f is integrated exactly.
+
+    A probe at r adds the annulus from the largest tabulated radius
+    g <= r to r, with the pieces of :meth:`annulus_integrals` on that one
+    gap, summed in the same order: the table's value at a tabulated
+    radius, elsewhere that annulus integral's value bit for bit, so a
+    search that mixes tabulated and new radii compares values of one
+    rule.  A probe lays its one gap out in scalar arithmetic: on a 2-core
+    Xeon a 1D gauss probe took 43 us, against 67 us in the table's layout.
+
+    The constructor sets up what both share: the directions and weights
+    of the quadrature's ball rule, the unit-ball volume, in 1D the sorted
+    distances |k - x| of the kinks k of f, and the ``reach``, the shell
+    radii about x that can meet B(0, R) for R = f.zero_outside, widened
+    by 1e-9 (|x| + R) for rounding (None without R or where |x|
+    overflows).  It refuses a radius beyond :func:`_radius_limit`.
     """
 
-    def __init__(self, f: DirectionalFunction, x: np.ndarray, radii, averages):
-        q = DEFAULT_QUADRATURE
-        dirs, self.wdir = _ball_directions(f.dimension, q.radial_order, q.angular_order)
+    def __init__(self, f: DirectionalFunction, x, radii, quadrature=DEFAULT_QUADRATURE):
+        n = f.dimension
+        if len(radii) and radii[-1] > (limit := _radius_limit(n)):
+            raise ValueError(
+                f"radius {radii[-1]:g} is too large: the volume of a ball in "
+                f"R^{n} overflows beyond a radius of about {limit:.4g}"
+            )
+        q = quadrature
+        dirs, self.wdir = _ball_directions(n, q.radial_order, q.angular_order)
         self.dirs_t = np.ascontiguousarray(dirs.T)
-        self.vol = unit_ball_volume(f.dimension)
-        self.f, self.x, self.n = f, x, f.dimension
-        self.radii, self.averages = np.asarray(radii).tolist(), np.asarray(averages).tolist()
+        self.vol = vol = unit_ball_volume(n)
+        self.f, self.x, self.n = f, x, n
         self.cuts = sorted(np.abs(np.asarray(f.kinks) - x[0]).tolist()) if f.kinks else None
-        self.reach = _zero_ball_reach(f, x)
+        R, d = f.zero_outside, math.hypot(*x)
+        self.reach = None
+        if R is not None and math.isfinite(d):
+            margin = 1e-9 * (d + R)
+            self.reach = np.array([d - R - margin, d + R + margin])
+
+        self.table = out = np.empty(len(radii))
+        start = int(len(radii) > 0 and radii[0] == 0.0)
+        if start:
+            out[0] = f(x)
+            _check_finite(out[:1], x[None, :])
+        pos = radii[start:]
+        if len(pos):
+            # the unit annulus from 0 scaled by pos[0] (a subnormal radius
+            # loses nothing), then one annulus per later radius
+            first = self.annulus_integrals(np.zeros(1), np.ones(1), pos[0])[0]
+            annuli = self.annulus_integrals(pos[:-1], pos[1:])
+            out[start] = first / vol  # exactly ball_average's value
+            # pos[0] ** n may underflow to 0, so the first radius is not divided by it
+            totals = first * pos[0] ** n + np.cumsum(annuli)
+            out[start + 1 :] = totals / (vol * pos[1:] ** n)
+        self.radii, self.averages = radii.tolist(), out.tolist()
 
     def __call__(self, r: float) -> float:
         k = bisect.bisect_right(self.radii, r) - 1
@@ -561,123 +571,104 @@ class _ShellProfile:
             if hi > lo:
                 ends = np.union1d(ends, self.cuts[lo:hi])
             a, b = ends[:-1], ends[1:]
-        integrals = _piece_integrals(self.f, self.x, a, b, self.dirs_t, self.wdir, 1.0, self.reach)
-        annulus = np.add.accumulate(integrals)[-1]
+        annulus = np.add.accumulate(self.piece_integrals(a, b))[-1]
         n, vol = self.n, self.vol
         return float((self.averages[k] * vol * g**n + annulus) / (vol * r**n))
 
+    def annulus_integrals(self, lo, hi, scale=1.0) -> np.ndarray:
+        """Integral of f over each annulus lo[k] < |y - x| < hi[k], hi > lo >= 0.
 
-def _annulus_integrals(f, x, lo, hi, quadrature, scale=1.0) -> np.ndarray:
-    """Integral of f over each annulus lo[k] < |y - x| < hi[k], hi > lo >= 0.
+        In polar form this is the integral over s in [lo, hi] of s^(n-1)
+        times the direction sum of f(x + s u).  Each gap is cut into
+        equal pieces no wider than _MAX_PIECE of its outer radius, with a
+        _GAP_NODES-node Gauss-Legendre rule on each piece
+        (:meth:`piece_integrals`).  A 1D piece is cut again where x + s
+        or x - s meets a kink of f.  With a scale, the annuli are
+        scale * lo < |y - x| < scale * hi, integrals / scale^n.
+        """
+        pieces = np.maximum(1, np.ceil((hi - lo) / (_MAX_PIECE * hi))).astype(int)
+        gap = np.repeat(np.arange(len(lo)), pieces)
+        j = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        step = (hi - lo)[gap] / pieces[gap]
+        a = lo[gap] + j * step
+        b = np.where(j == pieces[gap] - 1, hi[gap], a + step)
+        if self.cuts is not None and len(lo):
+            # the gaps tile [lo[0], hi[-1]] (hi[k] = lo[k + 1]); a kink is
+            # compared with the scaled range before its cut is scaled up
+            cuts = np.array(self.cuts)
+            cuts = cuts[(cuts > scale * lo[0]) & (cuts < scale * hi[-1])] / scale
+            ends = np.union1d(np.append(a, hi[-1]), cuts)
+            a, b = ends[:-1], ends[1:]
+            gap = np.searchsorted(hi, a, side="right")
+        integrals = self.piece_integrals(a, b, scale)
+        return np.bincount(gap, weights=integrals, minlength=len(lo))
 
-    In polar form this is the integral over s in [lo, hi] of s^(n-1)
-    times the ball rule's direction sum of f(x + s u).  Each gap is cut
-    into equal pieces no wider than _MAX_PIECE of its outer radius, with
-    a _GAP_NODES-node Gauss-Legendre rule on each piece
-    (:func:`_piece_integrals`).  A 1D piece is cut again where x + s or
-    x - s meets a kink of f.  With a scale, the annuli are
-    scale * lo < |y - x| < scale * hi, integrals / scale^n.
-    """
-    dirs, wdir = _ball_directions(f.dimension, quadrature.radial_order, quadrature.angular_order)
-    pieces = np.maximum(1, np.ceil((hi - lo) / (_MAX_PIECE * hi))).astype(int)
-    gap = np.repeat(np.arange(len(lo)), pieces)
-    j = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    step = (hi - lo)[gap] / pieces[gap]
-    a = lo[gap] + j * step
-    b = np.where(j == pieces[gap] - 1, hi[gap], a + step)
-    if f.kinks and len(lo):
-        # the gaps tile [lo[0], hi[-1]] (hi[k] = lo[k + 1]); a kink is
-        # compared with the scaled range before its cut is scaled up
-        cuts = np.abs(np.asarray(f.kinks) - x[0])
-        cuts = cuts[(cuts > scale * lo[0]) & (cuts < scale * hi[-1])] / scale
-        ends = np.union1d(np.append(a, hi[-1]), cuts)
-        a, b = ends[:-1], ends[1:]
-        gap = np.searchsorted(hi, a, side="right")
-    dirs_t, reach = np.ascontiguousarray(dirs.T), _zero_ball_reach(f, x)
-    integrals = _piece_integrals(f, x, a, b, dirs_t, wdir, scale, reach)
-    return np.bincount(gap, weights=integrals, minlength=len(lo))
+    def piece_integrals(self, a, b, scale=1.0) -> np.ndarray:
+        """Integral over each piece a[i] < s < b[i] of s^(n-1) times the
+        direction sum of f(x + scale s u), by the _GAP_NODES-node
+        Gauss-Legendre rule.
 
+        The shell points are evaluated _CHUNK_POINTS // m radii at a time,
+        written into one coordinate buffer that the call reuses: one einsum
+        writes every radius times every direction, then x is added.  At 2^15
+        points a 3D chunk is 16 radii x 2,048 directions, 768 KiB of
+        coordinates, and stays near a 2 MiB L2 cache with the values and a
+        batch evaluator's one-column temporaries.  On a 2-core Xeon with
+        2 MiB of L2 per core, the 512-radius grid of 3D gauss at two points
+        took 0.057-0.075 s at 2^15, 0.062-0.077 s at 2^14 and 0.068-0.090 s
+        at 2^13 and 2^16 (medians of 30 interleaved repeats, four sweeps),
+        with bitwise equal averages in 1D, 2D and 3D.  Below 2^13 a 3D chunk
+        holds 2 radii, and the sums change in the last bits.
 
-def _piece_integrals(f, x, a, b, dirs_t, wdir, scale=1.0, reach=None) -> np.ndarray:
-    """Integral over each piece a[i] < s < b[i] of s^(n-1) times the
-    direction sum (directions ``dirs_t``, (n, m), weights ``wdir``) of
-    f(x + scale s u), by the _GAP_NODES-node Gauss-Legendre rule.
+        A chunk is checked through its direction sums: the weights are
+        positive, so a non-finite value leaves its radius's sum non-finite,
+        and only then are the chunk's values searched for the first
+        non-finite point.  A sum that overflows from finite values is not
+        refused.
 
-    The shell points are evaluated _CHUNK_POINTS // m radii at a time,
-    written into one coordinate buffer that the call reuses: one einsum
-    writes every radius times every direction, then x is added.  At 2^15
-    points a 3D chunk is 16 radii x 2,048 directions, 768 KiB of
-    coordinates; with the values and a batch evaluator's one-column
-    temporaries it stays near a 2 MiB L2 cache, which 2^18 points (6 MiB
-    of coordinates alone) do not.  On a 2-core Xeon with 2 MiB of L2 per
-    core, the 512-radius grid of 3D gauss at two points took, as medians
-    of 30 interleaved repeats in each of four sweeps, 0.057-0.075 s at
-    2^15, 0.062-0.077 s at 2^14 and 0.068-0.090 s at 2^13 and 2^16; all
-    four sizes give bitwise equal averages in 1D, 2D and 3D.  Below 2^13
-    a 3D chunk holds 2 radii, so the direction sums go through another
-    matrix-vector kernel and change in the last bits.
-
-    A chunk is checked through its direction sums: the weights are
-    positive, so a non-finite value leaves its radius's sum non-finite,
-    and only then are the chunk's values searched for the first
-    non-finite point.  A sum that overflows from finite values is not
-    refused.
-
-    When f declares ``zero_outside`` = R, the caller passes the
-    ``reach`` of :func:`_zero_ball_reach`, and only the radii whose shell
-    can meet B(0, R), |x| - R <= scale s <= |x| + R with a margin for
-    rounding, are evaluated (the pieces ascend, as every caller builds
-    them).  The others get the direction sum 0.0 that their zero values
-    would give.  A chunk keeps its shape: the values of a partly
-    evaluated chunk are padded with zeros before the same matrix-vector
-    product, so every sum is bitwise the one without R.  The shells
-    beyond R are also where np.exp takes its slow underflow path
-    (arguments below about -708): on the 512-radius grid of 3D
-    gauss(0.5) at two points they were 14 % of the evaluations and
-    about 40 % of the time.
-    """
-    n, m = dirs_t.shape
-    half = 0.5 * (b - a)
-    s = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
-    scaled = s * scale
-    first, last = (0, len(s)) if reach is None else scaled.searchsorted(reach).tolist()
-    shell = np.zeros(len(s))
-    per_chunk = max(1, _CHUNK_POINTS // m)
-    buf = np.empty(n * min(per_chunk, len(s)) * m)
-    for i in range(0, len(s), per_chunk):
-        k = min(per_chunk, len(s) - i)
-        lo, hi = max(i, first), min(i + k, last)
-        if lo >= hi:
-            continue  # f is 0.0 on every shell of the chunk
-        # coordinate-major (n, radii, m): the transpose of an (n, points)
-        # array, so per-coordinate work in a batch evaluator (sums of
-        # squares, differences) reads unit strides
-        coords = buf[: n * (hi - lo) * m].reshape(n, hi - lo, m)
-        np.einsum("k,cm->ckm", scaled[lo:hi], dirs_t, out=coords)
-        coords += x[:, None, None]
-        pts = coords.reshape(n, -1).T
-        vals = f.evaluate_many(pts)
-        rows = vals.reshape(-1, m)
-        if hi - lo < k:  # the zeros of the skipped shells
-            padded = np.zeros((k, m))
-            padded[lo - i : hi - i] = rows
-            rows = padded
-        shell[i : i + k] = rows @ wdir
-        if not np.isfinite(shell[i : i + k]).all():
-            _check_finite(vals, pts)
-    radial = (s ** (n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
-    return half * radial
-
-
-def _zero_ball_reach(f, x):
-    """The shell radii [lo, hi] about x that can meet B(0, f.zero_outside),
-    widened by 1e-9 (|x| + R) for the rounding of the shell points; None
-    when f declares no zero radius or |x| overflows."""
-    R = f.zero_outside
-    if R is None or not math.isfinite(d := math.hypot(*x)):
-        return None
-    margin = 1e-9 * (d + R)
-    return np.array([d - R - margin, d + R + margin])
+        When f declares ``zero_outside`` = R, only the radii whose shell
+        can meet B(0, R), the ``reach`` |x| - R <= scale s <= |x| + R
+        with a margin for rounding, are evaluated (the pieces ascend, as
+        every caller builds them).  The others get the direction sum 0.0
+        that their zero values would give.  A chunk keeps its shape: the
+        values of a partly evaluated chunk are padded with zeros before
+        the same matrix-vector product, so every sum is bitwise the one
+        without R.  The shells beyond R are also where np.exp takes its
+        slow underflow path (arguments below about -708): on the
+        512-radius grid of 3D gauss(0.5) at two points they were 14 % of
+        the evaluations and about 40 % of the time.
+        """
+        n, m = self.dirs_t.shape
+        half = 0.5 * (b - a)
+        s = ((0.5 * (a + b))[:, None] + half[:, None] * _GL_NODES).ravel()
+        scaled = s * scale
+        first, last = (0, len(s)) if self.reach is None else scaled.searchsorted(self.reach).tolist()
+        shell = np.zeros(len(s))
+        per_chunk = max(1, _CHUNK_POINTS // m)
+        buf = np.empty(n * min(per_chunk, len(s)) * m)
+        for i in range(0, len(s), per_chunk):
+            k = min(per_chunk, len(s) - i)
+            lo, hi = max(i, first), min(i + k, last)
+            if lo >= hi:
+                continue  # f is 0.0 on every shell of the chunk
+            # coordinate-major (n, radii, m): the transpose of an (n, points)
+            # array, so per-coordinate work in a batch evaluator (sums of
+            # squares, differences) reads unit strides
+            coords = buf[: n * (hi - lo) * m].reshape(n, hi - lo, m)
+            np.einsum("k,cm->ckm", scaled[lo:hi], self.dirs_t, out=coords)
+            coords += self.x[:, None, None]
+            pts = coords.reshape(n, -1).T
+            vals = self.f.evaluate_many(pts)
+            rows = vals.reshape(-1, m)
+            if hi - lo < k:  # the zeros of the skipped shells
+                padded = np.zeros((k, m))
+                padded[lo - i : hi - i] = rows
+                rows = padded
+            shell[i : i + k] = rows @ self.wdir
+            if not np.isfinite(shell[i : i + k]).all():
+                _check_finite(vals, pts)
+        radial = (s ** (n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
+        return half * radial
 
 
 def sphere_average_derivative(

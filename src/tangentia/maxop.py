@@ -5,14 +5,12 @@ The radius search is a log-spaced grid with Brent's bounded-method
 refinement on every bracketed local maximum: the objective r -> average
 of |f| on B(x, r) is multimodal in general, so unimodal search alone is
 unsound.
-The grid averages are one cumulative shell profile
-(``funcspace.ball_average_radii``): a 4-node Gauss-Legendre integral
-over the first ball as an annulus from 0, then over each annulus between
-grid radii, cut in 1D at the declared kinks of f.  Refinement extends that
-profile from the nearest grid radius below, so it reproduces the grid
-values exactly and never compares two rules: each call builds one
-``funcspace._ShellProfile`` from the grid averages, and a Brent probe
-computes only its own annulus.
+Each call builds one ``funcspace._ShellProfile`` on the grid: its table
+is the grid averages, a 4-node Gauss-Legendre integral over the first
+ball as an annulus from 0, then over each annulus between grid radii,
+cut in 1D at the declared kinks of f.  A Brent probe extends that profile
+from the nearest grid radius below with only its own annulus, so it
+reproduces the grid values exactly and never compares two rules.
 Radii 0 and infinity enter through the conventions value(0) = |f(x)| and
 value(inf) = the flat tail of the averages.
 """
@@ -34,9 +32,9 @@ from .funcspace import (
     _ShellProfile,
     _check_finite,
     _point,
+    _radius_limit,
     absolute,
     ball_average,
-    ball_average_radii,
     sphere_average_derivative,
 )
 from .nonsmooth import DEFAULT_LADDER, directional_derivative, tau
@@ -168,6 +166,7 @@ def maximal(
     x = _point(x, f.dimension)
     _check_reach(f, x[None, :], r_max)
     absf = absolute(f)
+    which = "the default r_max" if r_max is None else "r_max"
     if r_max is None:
         r_max = _default_r_max(f, x)
         if not math.isfinite(r_max):
@@ -177,14 +176,25 @@ def maximal(
             )
     if not math.isfinite(r_max):
         raise ValueError(f"r_max must be finite, got {r_max}")
-    if r_max <= max(lam, _R_MIN_FLOOR):
-        raise ValueError("r_max must exceed the lower end of the search range")
-
     r_lo = max(lam, _R_MIN_FLOOR)
+    if r_max <= r_lo:
+        raise ValueError(
+            f"r_max {r_max:g} must exceed the lower end of the search range, "
+            f"max(lambda, {_R_MIN_FLOOR:g}) = {r_lo:g}"
+        )
+    if r_max > (limit := _radius_limit(f.dimension)):
+        raise ValueError(
+            f"{which} {r_max:g} at x={x.tolist()} is too large: the volume of a ball in "
+            f"R^{f.dimension} overflows beyond a radius of about {limit:.4g}; give a "
+            "smaller r_max (--r-max on the command line)"
+        )
+
     grid = np.geomspace(r_lo, r_max, _GRID_POINTS)
     if lam > 0:
         grid[0] = lam
-    avgs = ball_average_radii(absf, x, grid)
+    # one profile: the grid averages, and the refinement's probes
+    profile = _ShellProfile(absf, x, grid)
+    avgs = profile.table
     if np.max(avgs) > _OVERFLOW_GUARD:
         raise MaximalBlowupError(
             f"ball averages exceed the overflow guard at x={x.tolist()}: "
@@ -206,8 +216,6 @@ def maximal(
         rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True})
         return value, rset
 
-    # refine on the coarse stage's own shell profile: one rule throughout
-    profile = _ShellProfile(absf, x, grid, avgs)
     interior = np.flatnonzero(
         (avgs[1:-1] >= avgs[:-2]) & (avgs[1:-1] >= avgs[2:])
     ) + 1

@@ -390,6 +390,14 @@ def test_dirderiv_of_maximal_on_grid_function_takes_r_max(tmp_path, capsys):
         (["dirderiv", "--function", "abs", "--point", "1.5e307", "--theta", "1",
           "--of", "maximal", "--lambda", "1"],
          "the default r_max at x=[1.5e+307] is infinite"),
+        # the ball volume of the default r_max overflows: 8 rows with exit 0
+        (["maximal-field", "--function", "gauss(1e110,3)", "--box=0,1", "--res", "2"],
+         "the default r_max 2.07846e+112 at x=[0.0, 0.0, 0.0] is too large: the volume "
+         "of a ball in R^3 overflows beyond a radius of about 3.501e+102; give a "
+         "smaller r_max (--r-max"),
+        (["maximal-field", "--function", "gauss(3e152,2)", "--box=0,1", "--res", "2",
+          "--r-max", "1e154"],
+         "r_max 1e+154 at x=[0.0, 0.0] is too large"),
     ],
 )
 def test_overflowing_default_range_exits_1_by_name(argv, message, tmp_path, monkeypatch, capfd):

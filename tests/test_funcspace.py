@@ -14,6 +14,7 @@ from tangentia.funcspace import (
     DEFAULT_QUADRATURE,
     DirectionalFunction,
     GridFunction,
+    QuadratureConfig,
     absolute,
     ball_average,
     ball_average_radii,
@@ -304,14 +305,17 @@ def test_ball_average_radii_overflowing_sum_is_not_refused(n):
 
 @pytest.mark.parametrize("n, limit_mb", [(2, 2.0), (3, 4.0)])
 def test_ball_average_radii_peak_memory(n, limit_mb):
-    # the maximal-operator grid is evaluated in cache-sized chunks
+    # the maximal-operator grid and its probes are evaluated in
+    # cache-sized chunks
     f = make_gauss(0.5, n)
     x = np.full(n, 0.2)
     radii = np.geomspace(1e-3, 100.0, 512)
     ball_average_radii(f, x, radii)  # builds the cached quadrature rules
     tracemalloc.start()
     try:
-        ball_average_radii(f, x, radii)
+        profile = funcspace._ShellProfile(f, x, radii)
+        for r in (0.5, 7.7, 99.0):
+            profile(r)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -371,7 +375,7 @@ def test_ball_average_of_affine_is_center_value(n, a, c, x, r):
 
 
 def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0):
-    """funcspace._annulus_integrals with the broadcast coordinate fill."""
+    """_ShellProfile.annulus_integrals with the broadcast coordinate fill."""
     n = f.dimension
     dirs, wdir = funcspace._ball_directions(
         n, quadrature.radial_order, quadrature.angular_order
@@ -419,19 +423,19 @@ def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
     x = np.array(x)
     radii = np.geomspace(1e-3, 20.0, 64)
     lo, hi = radii[:-1], radii[1:]
-    got = funcspace._annulus_integrals(f, x, lo, hi, DEFAULT_QUADRATURE, scale)
+    got = funcspace._ShellProfile(f, x, radii).annulus_integrals(lo, hi, scale)
     want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale)
     assert np.all(got == want)
 
 
-def _probe_reference(f, x, radii, averages, r):
+def _probe_reference(profile, radii, r):
     """A radius search's probe at r as one annulus integral: the tabulated
     integral up to the largest radius g <= r plus the annulus (g, r)."""
     k = int(np.searchsorted(radii, r, side="right")) - 1
-    g, n = float(radii[k]), f.dimension
+    g, n = float(radii[k]), profile.n
     vol = unit_ball_volume(n)
-    annulus = funcspace._annulus_integrals(f, x, np.array([g]), np.array([r]), DEFAULT_QUADRATURE)
-    return float((averages[k] * vol * g**n + annulus[0]) / (vol * r**n))
+    annulus = profile.annulus_integrals(np.array([g]), np.array([r]))
+    return float((profile.table[k] * vol * g**n + annulus[0]) / (vol * r**n))
 
 
 @pytest.mark.parametrize(
@@ -453,8 +457,8 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
     # (f without its zero radius, so every shell of a probe is evaluated)
     f, sizes = _counting(absolute(replace(f, zero_outside=None)))
     x, radii = np.array(x), np.array(radii, dtype=float)
-    out = ball_average_radii(f, x, radii)
-    profile = funcspace._ShellProfile(f, x, radii, out)
+    profile = funcspace._ShellProfile(f, x, radii)
+    assert profile.table.tobytes() == ball_average_radii(f, x, radii).tobytes()
     m = len(profile.wdir)
     cuts = np.abs(np.array(f.kinks) - x[0]) if f.kinks else np.zeros(0)
     many = 0
@@ -466,8 +470,49 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
         del sizes[:]
         got = profile(r)
         assert sum(sizes) == funcspace._GAP_NODES * m * pieces
-        assert got == _probe_reference(f, x, radii, out, r)
+        assert got == _probe_reference(profile, radii, r)
     assert many
+
+
+@pytest.mark.parametrize(
+    "n, quadrature, m",
+    [(2, QuadratureConfig(angular_order=16), 16), (3, QuadratureConfig(radial_order=8), 128)],
+    ids=["2d-16-angles", "3d-128-directions"],
+)
+def test_shell_profile_probes_with_its_own_quadrature(n, quadrature, m):
+    # a probe of a profile built on a coarser rule evaluates that rule's m
+    # directions, not the default rule's 64 (2D) or 2,048 (3D), and agrees
+    # with that rule's one-gap reference and its ball_average
+    f, sizes = _counting(replace(make_gauss(0.5, n), zero_outside=None))
+    x, radii = np.full(n, 0.2), np.array([0.1, 1.0, 2.0])
+    profile = funcspace._ShellProfile(f, x, radii, quadrature)
+    assert len(profile.wdir) == m
+    assert profile.table.tobytes() == ball_average_radii(f, x, radii, quadrature).tobytes()
+    for r, pieces in ((1.02, 1), (1.7, 9)):
+        del sizes[:]
+        got = profile(r)
+        assert sum(sizes) == funcspace._GAP_NODES * m * pieces
+        assert got == _probe_reference(profile, radii, r)
+        assert got == pytest.approx(ball_average(f, x, r, quadrature), abs=1e-12)
+
+
+@pytest.mark.parametrize("n, r", [(1, 1e308), (2, 1e154), (3, 1e103)])
+def test_radius_whose_ball_volume_overflows_is_refused(n, r):
+    # omega_n r^n overflowed to inf, so such an average read 0.0 with a
+    # RuntimeWarning; the largest radius that fits is still accepted
+    f = make_gauss(1.0, n)
+    x = np.zeros(n)
+    limit = funcspace._radius_limit(n)
+    assert math.isfinite(unit_ball_volume(n) * limit**n) and limit < r
+    match = re.escape(f"radius {r:g} is too large: the volume of a ball in R^{n} overflows")
+    with pytest.raises(ValueError, match=match):
+        ball_average(f, x, r)
+    with pytest.raises(ValueError, match=match):
+        ball_average_radii(f, x, [0.0, 1.0, r])
+    with pytest.raises(ValueError, match=match):
+        funcspace._ShellProfile(f, x, np.array([1.0, r]))
+    out = ball_average_radii(f, x, [1.0, limit])
+    assert 0.0 < out[1] < out[0]
 
 
 @pytest.mark.parametrize("s", [0.0, -1.0, math.nan, 7.45e-155, 1e-160, 1e-200])
@@ -565,9 +610,8 @@ def test_zero_radius_leaves_averages_and_probes_bitwise(f, x):
     h, all_sizes = _counting(absolute(replace(f, zero_outside=None)))
     rng = np.random.default_rng(0)
     for radii in (np.geomspace(1e-3, 5.0 * (d + R), 512), np.array([0.0, 0.5 * R, d + R, 3.0 * (d + R)])):
-        got, want = ball_average_radii(g, x, radii), ball_average_radii(h, x, radii)
-        assert got.tobytes() == want.tobytes()
-        probe, reference = funcspace._ShellProfile(g, x, radii, got), funcspace._ShellProfile(h, x, radii, want)
+        probe, reference = funcspace._ShellProfile(g, x, radii), funcspace._ShellProfile(h, x, radii)
+        assert probe.table.tobytes() == reference.table.tobytes()
         for r in rng.uniform(radii[0], 1.2 * radii[-1], 60):
             assert probe(r) == reference(r)
     assert sum(sizes) < sum(all_sizes)
@@ -590,10 +634,9 @@ def test_zero_radius_skips_every_shell_short_of_the_ball(f, x, near):
     assert near < np.linalg.norm(x) - f.zero_outside
     g, sizes = _counting(f)
     radii = np.geomspace(1e-3, near, 64)
-    out = ball_average_radii(g, x, radii)
-    assert out.tobytes() == ball_average_radii(replace(f, zero_outside=None), x, radii).tobytes()
-    assert np.all(out == 0.0)
-    profile = funcspace._ShellProfile(g, x, radii, out)
+    profile = funcspace._ShellProfile(g, x, radii)
+    assert profile.table.tobytes() == ball_average_radii(replace(f, zero_outside=None), x, radii).tobytes()
+    assert np.all(profile.table == 0.0)
     assert [profile(r) for r in np.linspace(2e-3, near, 7)] == [0.0] * 7
     assert sizes == []
 
@@ -627,10 +670,11 @@ def _gauss_cases(draw):
 def test_shell_profile_matches_ball_average_and_extends_exactly(case):
     n, s, x, radii = case
     f = make_gauss(s, n)
-    out = ball_average_radii(f, x, radii)
+    profile = funcspace._ShellProfile(f, x, radii)
+    out = profile.table
     for k, r in enumerate(radii):
         # the refinement's extension returns the tabulated value itself
-        assert funcspace._ShellProfile(f, x, radii, out)(float(r)) == out[k]
+        assert profile(float(r)) == out[k]
         assert abs(out[k] - ball_average(f, x, r)) <= 1e-10
 
 
@@ -639,8 +683,7 @@ def test_profile_extension_between_radii(n):
     f = make_gauss(0.5, n)
     x = np.array([1.0, 0.3, 0.0][:n])
     radii = np.geomspace(0.01, 4.0, 64)
-    out = ball_average_radii(f, x, radii)
-    profile = funcspace._ShellProfile(f, x, radii, out)
+    profile = funcspace._ShellProfile(f, x, radii)
     for r in (0.0123, 0.77, 1.3, 3.99):
         assert profile(r) == pytest.approx(ball_average(f, x, r), abs=1e-12)
     with pytest.raises(ValueError, match="below"):
@@ -708,9 +751,8 @@ def test_shell_profile_is_exact_on_piecewise_linear_functions(case):
     between = np.concatenate((between, [abs(x - b) for b in breaks]))
     between = between[(between > radii[0]) & (between < radii[-1])]
     for g, absolute_value in ((f, False), (absolute(f), True)):
-        out = ball_average_radii(g, [x], radii)
-        profile = funcspace._ShellProfile(g, np.array([x]), radii, out)
-        got = list(out) + [profile(r) for r in between]
+        profile = funcspace._ShellProfile(g, np.array([x]), radii)
+        got = list(profile.table) + [profile(r) for r in between]
         for avg, r in zip(got, list(radii) + list(between)):
             ref = _linear_integral(f, breaks, x - r, x + r, absolute_value) / (2.0 * r)
             assert abs(avg - ref) <= 1e-12 * (1.0 + abs(ref))

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import warnings
@@ -208,6 +209,38 @@ def test_infinite_default_r_max_is_refused_by_name(spec, x):
     # the caller never gave; warnings are errors in this suite
     with pytest.raises(ValueError, match=r"default r_max .* is infinite.*--r-max"):
         maximal(parse_function_spec(spec), x)
+
+
+@pytest.mark.parametrize("s, n", [(1e110, 3), (1e152, 3), (3e152, 2)])
+def test_r_max_whose_ball_volume_overflows_is_refused_by_name(s, n):
+    # the 3D calls returned f(x) = 0.8737 with grid_best nan, and the 2D one
+    # a tail average of 0.0 where the true one is about 6.7e-5
+    f = parse_function_spec(f"gauss({s},{n})")
+    x = np.full(n, 0.03 * s)
+    limit = maxop._radius_limit(n)
+    message = rf"default r_max \S+ at x=.* is too large: the volume of a ball in R\^{n} overflows.*--r-max"
+    with pytest.raises(ValueError, match=message):
+        maximal(f, x)
+    with pytest.raises(ValueError, match=message):
+        maximal_field(f, (np.zeros(n), x), 2)
+    with pytest.raises(ValueError, match=re.escape(f"r_max {2.0 * limit:g} at x=")):
+        maximal(f, x, r_max=2.0 * limit)
+    value, rset = maximal(f, x, r_max=0.5 * limit)
+    assert 0.0 < value <= 1.0 and all(math.isfinite(v) for v in rset.trace.values())
+
+
+@pytest.mark.parametrize("lam, r_max, lower", [(0.0, 0.0005, "0.001"), (2.0, 1.5, "2"), (0.5, 0.5, "0.5")])
+def test_r_max_below_the_search_range_names_both_ends(lam, r_max, lower):
+    message = f"r_max {r_max:g} must exceed the lower end of the search range, max(lambda, 0.001) = {lower}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        maximal(tent(), [0.0], lam=lam, r_max=r_max)
+
+
+def test_r_max_one_ulp_above_lambda_gives_the_average_at_lambda():
+    # the log grid repeats radii on so short a range; its zero-width gaps
+    # add nothing, where the grid's radii check used to refuse the call
+    value, rset = maximal(tent(), [0.3], lam=0.5, r_max=math.nextafter(0.5, 1.0))
+    assert value == pytest.approx(0.66, abs=1e-15) and rset.radii == (0.5,)
 
 
 def test_default_r_max_survives_an_overflowing_sum_of_squares():
