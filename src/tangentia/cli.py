@@ -106,7 +106,7 @@ def _prepend_config(path: str, cfg: ExperimentConfig):
 
 def _write_json(path: Optional[str], cfg: ExperimentConfig, payload: dict):
     doc = {"config": json.loads(cfg.to_json()), "result": payload}
-    text = json.dumps(doc, indent=2, sort_keys=True)
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")

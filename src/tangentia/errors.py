@@ -8,7 +8,7 @@ class TangentiaError(Exception):
 class NumericDomainError(TangentiaError):
     """A function evaluation produced a nonfinite value.
 
-    Carries the offending point so quadrature failures can be located.
+    Carries the offending point, the first in evaluation order.
     """
 
     def __init__(self, point, value):

@@ -30,7 +30,6 @@ from .funcspace import (
     _box_text,
     _direction,
     _ShellProfile,
-    _check_finite,
     _point,
     _radius_limit,
     absolute,
@@ -204,7 +203,6 @@ def maximal(
     candidates = []
     if lam == 0.0:
         at_x = abs(f(x))
-        _check_finite(np.array([at_x]), x[None, :])
         candidates.append((0.0, at_x))
 
     spread = float(np.max(avgs) - np.min(avgs))

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import LadderDivergenceError
+from .errors import LadderDivergenceError, NumericDomainError
 from .funcspace import DirectionalFunction, _box_grid, _direction, _point
 from .semilinear import (
     SemiLinearSubspace,
@@ -142,12 +142,14 @@ _SETTLE_SPREAD = 1e-2
 
 
 def directional_derivative(f: DirectionalFunction, x, theta) -> float:
-    """One-sided directional derivative: the oracle of f when it has one,
-    else extrapolated from the quotients on DEFAULT_LADDER."""
+    """One-sided directional derivative: the oracle of f when it has one
+    (a non-finite value is refused), else from the DEFAULT_LADDER quotients."""
     x = _point(x, f.dimension)
     theta = _direction(theta, f.dimension)
     if f.derivative is not None:
-        return float(f.derivative(x, theta))
+        if not math.isfinite(value := float(f.derivative(x, theta))):
+            raise NumericDomainError(x, value)
+        return value
     q = quotient_ladder(f, x, theta)
     # one-sided quotients carry an O(r) error term; the rungs halve, so
     # eliminate it pairwise

@@ -362,6 +362,40 @@ def test_grid_function_outside_its_samples_exits_1(tmp_path, capsys):
     assert run(argv + ["--r-max", "2"]) == 0
 
 
+@pytest.mark.parametrize(
+    "hi, argv",
+    [
+        # the interpolant is nan on (0.25, 0.75) already: "derivative": NaN
+        (1.0, ["dirderiv", "--point", "0.4", "--theta", "1"]),
+        # nan on (0.75, 1.25): the ladder read 1.0 from its small rungs, tau
+        # leaked a linprog error, and the scan flagged nothing, with exit 0
+        (2.0, ["dirderiv", "--point", "0.6", "--theta", "1"]),
+        (2.0, ["tau", "--point", "0.6"]),
+        (2.0, ["singular-set", "--box=0.4,0.6", "--res", "3"]),
+    ],
+)
+def test_nan_grid_sample_exits_1(hi, argv, tmp_path, capsys):
+    # y = x on [0, hi] with 4 hi + 1 nodes, and a nan sample at the middle one
+    samples = np.linspace(0.0, hi, int(4 * hi) + 1)
+    samples[len(samples) // 2] = math.nan
+    grid = tmp_path / "g.csv"
+    grid.write_text(f"1,{len(samples)},0.0,{hi}\n" + "".join(f"{v!r}\n" for v in samples.tolist()))
+    out = tmp_path / "o.out"
+    assert run(argv[:1] + ["--function", f"grid:{grid}", "--out", str(out)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert "nonfinite evaluation nan at point" in err
+    assert "linprog" not in err
+    assert not out.exists()
+
+
+def test_json_artifacts_are_strict():
+    # no command can print NaN or Infinity, which JSON does not have
+    cfg = ExperimentConfig("dirderiv", {})
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="JSON compliant"):
+            cli._write_json(None, cfg, {"derivative": bad})
+
+
 def test_dirderiv_of_maximal_on_grid_function_takes_r_max(tmp_path, capsys):
     grid = tmp_path / "g.csv"
     GridFunction.from_function(

@@ -997,6 +997,29 @@ def test_lipschitz_bound_respected_by_quotients():
         assert abs(f(x) - f(y)) <= K * d + 1e-9
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_evaluators_refuse_non_finite_values(bad):
+    # the one finiteness gate: both evaluators, with or without a batch
+    # evaluator, name the first point that gives a non-finite value
+    def ev(y):
+        return bad if y[0] > 0.5 else float(y[0])
+
+    plain = DirectionalFunction(evaluator=ev, dimension=1)
+    batched = replace(plain, batch_evaluator=lambda pts: np.array([ev(p) for p in pts]))
+    pts = np.array([[0.0], [0.75], [1.0]])
+    for f in (plain, batched):
+        assert f([0.5]) == 0.5
+        with pytest.raises(NumericDomainError) as err:
+            f([0.75])
+        assert err.value.point == (0.75,)
+        with pytest.raises(NumericDomainError) as err:
+            f.evaluate_many(pts)
+        assert err.value.point == (0.75,)
+        assert err.value.value == bad or math.isnan(bad)
+        with pytest.raises(NumericDomainError):
+            sphere_average_derivative(f, [0.3], 0.25, [1.0])
+
+
 def test_evaluate_many_matches_scalar():
     f = parse_function_spec("gauss(0.7,2)")
     pts = np.random.default_rng(2).uniform(-1, 1, size=(20, 2))

@@ -608,6 +608,18 @@ def test_maximal_field_threaded_matches_serial():
     assert np.array_equal(v1, v2)
 
 
+def test_maximal_field_axis_of_one_node_may_have_no_width():
+    # a one-node axis is its lower corner, so hi = lo names it exactly;
+    # a flat axis with more nodes, or a reversed one, is still refused
+    f = parse_function_spec("gauss(0.5,2)")
+    pts, vals, _ = maximal_field(f, ([1.2, 0.0], [1.2, 0.1]), (1, 2))
+    assert pts.tolist() == [[1.2, 0.0], [1.2, 0.1]]
+    assert vals.tolist() == [maximal(f, p)[0] for p in pts]
+    for box, resolution in [(([1.2, 0.0], [1.2, 0.1]), 2), (([1.2, 0.1], [1.2, 0.0]), (1, 2))]:
+        with pytest.raises(ValueError, match="must exceed"):
+            maximal_field(f, box, resolution)
+
+
 @pytest.mark.parametrize("resolution", [0, (3, 0)])
 def test_maximal_field_empty_grid_rejected(resolution):
     f = parse_function_spec("gauss(0.5,2)")

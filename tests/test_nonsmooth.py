@@ -7,8 +7,13 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from tangentia import nonsmooth
-from tangentia.errors import LadderDivergenceError
-from tangentia.funcspace import DirectionalFunction, make_maxaffine, parse_function_spec
+from tangentia.errors import LadderDivergenceError, NumericDomainError
+from tangentia.funcspace import (
+    DirectionalFunction,
+    GridFunction,
+    make_maxaffine,
+    parse_function_spec,
+)
 from tangentia.nonsmooth import (
     GammaBudget,
     difference_quotient,
@@ -372,6 +377,58 @@ def test_non_finite_point_rejected(x):
         gamma(f, x)
 
 
+def _bad_past_half(bad):
+    """y1 + 2 y2 where y1 < 0.5, bad beyond, and the list of every point
+    either evaluator was given, in evaluation order."""
+    seen = []
+
+    def batch(pts):
+        seen.extend(np.array(pts).tolist())
+        return np.where(pts[:, 0] < 0.5, pts[:, 0] + 2.0 * pts[:, 1], bad)
+
+    f = DirectionalFunction(
+        evaluator=lambda y: float(batch(y[None, :])[0]), dimension=2, batch_evaluator=batch
+    )
+    return f, seen
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda f, x: tau(f, x, full_space(2)),
+        lambda f, x: gamma(f, x),
+        lambda f, x: singular_scan(f, ([0.0, 0.0], [1.0, 1.0]), 5),
+        lambda f, x: quotient_ladder(f, x, [1.0, 0.0]),
+        lambda f, x: directional_derivative(f, x, [1.0, 0.0]),
+        lambda f, x: nonsmooth.kink_normals(f, x),
+        lambda f, x: GridFunction.from_function(f, [0.0, 0.0], [1.0, 1.0], 5),
+    ],
+    ids=["tau", "gamma", "singular_scan", "quotient_ladder", "directional_derivative",
+         "kink_normals", "grid_from_function"],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_value_is_refused_at_first_point(call, bad):
+    # tau leaked scipy's linprog refusal of a nan b_ub, singular_scan
+    # returned [] and the quotient ladder nan; every one reaches x1 >= 0.5
+    # from x = (0.4999, 0), gamma's radius and kink_normals' probes too
+    f, seen = _bad_past_half(bad)
+    with pytest.raises(NumericDomainError) as err:
+        call(f, np.array([0.4999, 0.0]))
+    first = next(p for p in seen if p[0] >= 0.5)
+    assert err.value.point == tuple(first)
+    assert err.value.value == bad or (math.isnan(bad) and math.isnan(err.value.value))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_directional_derivative_non_finite_oracle_refused(bad):
+    f = DirectionalFunction(
+        evaluator=lambda y: 0.0, dimension=1, derivative=lambda y, theta: bad
+    )
+    with pytest.raises(NumericDomainError) as err:
+        directional_derivative(f, [0.25], [1.0])
+    assert err.value.point == (0.25,)
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-3])
 def test_tol_not_finite_positive_rejected(tol):
     f = abs1d()
@@ -409,6 +466,17 @@ def test_gamma_abs_x1_off_axis_full():
 def test_gamma_linfty_corner_zero():
     F = parse_function_spec("maxaffine[(1,0,0),(-1,0,0),(0,1,0),(0,-1,0)]")
     assert gamma(F, [0.0, 0.0]).degree == 0
+
+
+def test_gamma_3d_line_from_kink_normal_cross_product():
+    # three planes meet in the x3 axis: the structured k = 1 candidate,
+    # the cross product of two kink normals, is e3 itself
+    f = make_maxaffine([[1, 0, 0], [0, 1, 0], [-1, -1, 0]], [0, 0, 0])
+    est = gamma(f, [0.0, 0.0, 0.3])
+    assert est.degree == 1
+    assert est.witness.rays == ()
+    assert np.allclose(np.abs(est.witness.basis[:, 0]), [0.0, 0.0, 1.0], rtol=0.0, atol=1e-12)
+    assert est.worst_residual < 1e-12
 
 
 def test_gamma_monotone_in_tol():
