@@ -125,8 +125,10 @@ def _parse_point(s: str) -> np.ndarray:
         raise SpecParseError(f"bad point {s!r}: {exc}")
 
 
-def _parse_box(s: str, n: int):
-    """``lo,hi`` (all axes) or ``lo1,hi1;lo2,hi2;...`` per axis."""
+def _parse_box(s: str, n: int, resolution: int):
+    """``lo,hi`` (all axes) or ``lo1,hi1;lo2,hi2;...`` per axis, for a grid
+    of ``resolution`` nodes per axis.  A box the library's box rule refuses
+    is a usage error; a corner that is not finite is left to the library."""
     pairs = [p for p in s.split(";") if p]
     vals = [_parse_point(p) for p in pairs]
     if any(v.size != 2 for v in vals):
@@ -137,8 +139,10 @@ def _parse_box(s: str, n: int):
         raise SpecParseError(f"box {s!r} has {len(vals)} axes, function has {n}")
     lo = np.array([v[0] for v in vals])
     hi = np.array([v[1] for v in vals])
-    if np.any(hi <= lo):
-        raise SpecParseError(f"box {s!r}: hi must exceed lo")
+    try:
+        funcspace._box_order(lo, hi, resolution)
+    except ValueError as exc:
+        raise SpecParseError(f"box {s!r}: {exc}") from None
     return lo, hi
 
 
@@ -179,7 +183,7 @@ def _load_set(opts) -> specials.ClosedSetModel:
 def cmd_maximal_field(cfg: ExperimentConfig) -> int:
     o = cfg.options
     f = funcspace.parse_function_spec(o["function"])
-    lo, hi = _parse_box(o["box"], f.dimension)
+    lo, hi = _parse_box(o["box"], f.dimension, o["res"])
     pts, values, radii = maxop.maximal_field(
         f,
         (lo, hi),
@@ -250,7 +254,7 @@ def cmd_gamma(cfg: ExperimentConfig) -> int:
 def cmd_singular_set(cfg: ExperimentConfig) -> int:
     o = cfg.options
     f = funcspace.parse_function_spec(o["function"])
-    lo, hi = _parse_box(o["box"], f.dimension)
+    lo, hi = _parse_box(o["box"], f.dimension, o["res"])
     pts = nonsmooth.singular_scan(
         f,
         (lo, hi),
@@ -267,7 +271,7 @@ def cmd_singular_set(cfg: ExperimentConfig) -> int:
 def cmd_medial_axis(cfg: ExperimentConfig) -> int:
     o = cfg.options
     A = _load_set(o)
-    lo, hi = _parse_box(o["box"], A.dimension)
+    lo, hi = _parse_box(o["box"], A.dimension, o["res"])
     pts = specials.medial_scan(A, (lo, hi), o["res"])
     specials.medial_to_csv(pts, o["out"], A.dimension)
     _prepend_config(o["out"], cfg)
@@ -280,7 +284,7 @@ def cmd_infconv(cfg: ExperimentConfig) -> int:
     o = cfg.options
     u = funcspace.parse_function_spec(o["function"])
     x = _parse_point(o["point"])
-    lo, hi = _parse_box(o["y_box"], u.dimension)
+    lo, hi = _parse_box(o["y_box"], u.dimension, o["y_res"])
     t = o["t"]
     if not 0.0 < t < math.inf:
         raise ValueError(f"--t must be finite and > 0, got {t}")

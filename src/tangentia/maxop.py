@@ -4,7 +4,11 @@ sets, and the envelope formula for its directional derivatives.
 The radius search is a log-spaced grid with Brent's bounded-method
 refinement on every bracketed local maximum: the objective r -> average
 of |f| on B(x, r) is multimodal in general, so unimodal search alone is
-unsound.
+unsound.  The refinement is ``funcspace._bounded_min``, Brent's method
+(Brent 1973; Forsythe, Malcolm and Moler's ``fmin``) in Python floats,
+which probes the same radii in the same order as the usual library
+implementation that its docstring names, so the radius search needs
+nothing beyond numpy.
 Each call builds one ``funcspace._ShellProfile`` on the grid: its table
 is the grid averages, a 4-node Gauss-Legendre integral over the first
 ball as an annulus from 0, then over each annulus between grid radii,
@@ -26,6 +30,7 @@ import numpy as np
 from .errors import MaximalBlowupError
 from .funcspace import (
     DirectionalFunction,
+    _bounded_min,
     _box_grid,
     _box_text,
     _direction,
@@ -85,19 +90,17 @@ class RadiiSet:
 def _brent_max(fn, a: float, b: float):
     """Maximize fn on the bracket [a, b]; returns (argmax, max).
 
-    Brent's bounded minimizer on -fn; the objective is smooth inside a
-    bracket, where parabolic steps beat pure golden sectioning.
+    Brent's bounded method (Brent 1973; Forsythe, Malcolm and Moler's
+    ``fmin``) on -fn, in Python floats: ``funcspace._bounded_min``, which
+    probes the radii, in order, and returns the argmax and max of the
+    library implementation its docstring names, bit for bit.  The
+    objective is smooth inside a bracket, where parabolic steps beat pure
+    golden sectioning.
     """
-    from scipy.optimize import minimize_scalar
-
-    res = minimize_scalar(
-        lambda r: -fn(r),
-        bounds=(a, b),
-        method="bounded",
-        options={"xatol": _REFINE_TOL * (1.0 + abs(a) + abs(b))},
-    )
-    r_star, v_star = float(res.x), float(-res.fun)
-    # the bounded solver never evaluates the endpoints themselves
+    xatol = _REFINE_TOL * (1.0 + abs(a) + abs(b))
+    r_star, v_neg = _bounded_min(lambda r: -fn(r), a, b, xatol)
+    v_star = -v_neg
+    # the bounded method never evaluates the endpoints themselves
     for e in (a, b):
         ve = fn(e)
         if ve > v_star:
@@ -194,7 +197,8 @@ def maximal(
     # one profile: the grid averages, and the refinement's probes
     profile = _ShellProfile(absf, x, grid)
     avgs = profile.table
-    if np.max(avgs) > _OVERFLOW_GUARD:
+    grid_best, grid_low = float(np.max(avgs)), float(np.min(avgs))
+    if grid_best > _OVERFLOW_GUARD:
         raise MaximalBlowupError(
             f"ball averages exceed the overflow guard at x={x.tolist()}: "
             "the maximal function is infinite there"
@@ -205,7 +209,7 @@ def maximal(
         at_x = abs(f(x))
         candidates.append((0.0, at_x))
 
-    spread = float(np.max(avgs) - np.min(avgs))
+    spread = grid_best - grid_low
     scale = 1.0 + float(np.max(np.abs(avgs)))
     flat = spread < 1e-13 * scale
     if flat and lam == 0.0 and abs(at_x - avgs[0]) < 1e-12 * scale:
@@ -218,20 +222,22 @@ def maximal(
         (avgs[1:-1] >= avgs[:-2]) & (avgs[1:-1] >= avgs[2:])
     ) + 1
     # skip local maxima far below the grid best (plateaus of a losing
-    # branch); compress plateau runs into one bracket each
+    # branch); compress plateau runs into one bracket each, in the
+    # profile's Python floats
     margin = 0.02 * spread + 1e-12 * scale
-    grid_best = float(np.max(avgs))
-    interior = interior[avgs[interior] >= grid_best - margin]
-    starts = interior[np.diff(interior, prepend=-2) != 1]
-    ends = interior[np.diff(interior, append=len(avgs) + 1) != 1]
-    brackets = [(grid[i - 1], grid[j + 1]) for i, j in zip(starts, ends)]
-    if avgs[0] >= avgs[1] and avgs[0] >= grid_best - margin:
-        brackets.append((grid[0], grid[1]))
-    if avgs[-1] >= avgs[-2] and avgs[-1] >= grid_best - margin:
-        brackets.append((grid[-2], grid[-1]))
-    for a, b in brackets:
-        r_star, v_star = _brent_max(profile, a, b)
-        candidates.append((float(r_star), float(v_star)))
+    runs = []
+    for i in interior[avgs[interior] >= grid_best - margin].tolist():
+        if runs and i == runs[-1][1] + 1:
+            runs[-1][1] = i
+        else:
+            runs.append([i, i])
+    radius, average = profile.radii, profile.averages
+    brackets = [(radius[i - 1], radius[j + 1]) for i, j in runs]
+    if average[0] >= average[1] and average[0] >= grid_best - margin:
+        brackets.append((radius[0], radius[1]))
+    if average[-1] >= average[-2] and average[-1] >= grid_best - margin:
+        brackets.append((radius[-2], radius[-1]))
+    candidates += [_brent_max(profile, a, b) for a, b in brackets]
 
     best = max(v for _, v in candidates)
     keep = [
@@ -252,7 +258,7 @@ def maximal(
             merged.append((r, v))
 
     radii = [r for r, _ in merged]
-    tail_high = avgs[-1] >= best - _REL_TOL * (1.0 + abs(best))
+    tail_high = average[-1] >= best - _REL_TOL * (1.0 + abs(best))
     if tail_high and not flat:
         radii.append(math.inf)  # r_max was not large enough to separate the tail
     rset = RadiiSet(
@@ -260,7 +266,7 @@ def maximal(
         lam,
         tuple(radii),
         best,
-        {"grid_best": float(np.max(avgs)), "tail_average": float(avgs[-1])},
+        {"grid_best": grid_best, "tail_average": average[-1]},
     )
     return best, rset
 

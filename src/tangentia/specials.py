@@ -12,6 +12,7 @@ import numpy as np
 
 from .funcspace import (
     DirectionalFunction,
+    _bounded_min,
     _box_grid,
     _check_finite,
     _cloud,
@@ -276,8 +277,6 @@ def _envelope_min(obj, ys, vals, shape, lo, hi, cell, tol: float = 1e-9):
     within tol of the value, and whether one lies within 2 cells of the
     box boundary.
     """
-    from scipy.optimize import fminbound, minimize
-
     n = ys.shape[1]
     V = vals.reshape(shape)
     local = np.ones(V.shape, dtype=bool)
@@ -294,12 +293,14 @@ def _envelope_min(obj, ys, vals, shape, lo, hi, cell, tol: float = 1e-9):
     refined = []
     for i in seeds.tolist():
         if n == 1:
-            res = fminbound(
+            t, v = _bounded_min(
                 lambda s: obj(np.array([s])), ys[max(i - 1, 0), 0],
-                ys[min(i + 1, len(ys) - 1), 0], xtol=1e-12, full_output=True, disp=0,
+                ys[min(i + 1, len(ys) - 1), 0], 1e-12,
             )
-            y, v = np.array([res[0]]), float(res[1])
+            y, v = np.array([t]), float(v)
         else:
+            from scipy.optimize import minimize
+
             res = minimize(
                 obj, ys[i], method="Nelder-Mead", options={"xatol": 1e-10, "fatol": 1e-14}
             )

@@ -209,6 +209,50 @@ def test_usage_error_names_no_spec_position(argv, tmp_path, monkeypatch, capsys)
     assert "(at position" not in err
 
 
+def test_flat_one_node_axis_in_maximal_field(tmp_path, capsys):
+    # hi = lo on an axis of one node is the library's box rule: the one
+    # row is the field at (1.2, 0); the command line refused it with exit 2
+    out = tmp_path / "f.csv"
+    argv = ["maximal-field", "--function", "gauss(0.5,2)", "--box=1.2,1.2;0,0.1",
+            "--res", "1", "--out", str(out)]
+    assert run(argv) == 0
+    rows = read_body(out).splitlines()
+    assert rows[0].startswith("x1,x2,Mf,")
+    assert len(rows) == 2 and rows[1].startswith("1.2,0,")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["maximal-field", "--function", "gauss(0.5,2)", "--box=1.2,1.2;0,0.1", "--res", "2"],
+        ["singular-set", "--function", "maxaffine[(1,0,0),(-1,0,0)]",
+         "--box=0,0;-1,1", "--res", "5"],
+        ["medial-axis", "--set-points=-1,0;1,0", "--box=-1,1;0.5,0.5", "--res", "5"],
+    ],
+    ids=["maximal-field", "singular-set", "medial-axis"],
+)
+def test_flat_axis_of_several_nodes_exits_2(argv, tmp_path, capsys):
+    # the library's box rule, checked before any work: hi = lo is refused
+    # on an axis of more than one node, and nothing is written
+    out = tmp_path / "o.csv"
+    assert run(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "must exceed the lower" in err and "or equal it on an axis of one node" in err
+    assert not out.exists()
+
+
+def test_flat_axis_below_the_scan_minimum_exits_1(tmp_path, capsys):
+    # one node passes the box rule, but a scan needs two per axis
+    out = tmp_path / "o.csv"
+    for argv in (
+        ["singular-set", "--function", "maxaffine[(1,0,0),(-1,0,0)]", "--box=0,0;-1,1"],
+        ["medial-axis", "--set-points=-1,0;1,0", "--box=-1,1;0.5,0.5"],
+    ):
+        assert run(argv + ["--res", "1", "--out", str(out)]) == 1
+        assert "need at least 2 grid points per axis" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_gauss_dimension_parse_error_exits_2(capsys):
     rc = run(
         ["dirderiv", "--function", "gauss(0.5,4)", "--point", "0", "--theta", "1"]

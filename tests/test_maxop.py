@@ -13,10 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import fminbound, minimize_scalar
 
 import tangentia
-from tangentia import maxop, verify
+from tangentia import funcspace, maxop, verify
 from tangentia.errors import MaximalBlowupError, NumericDomainError
 from tangentia.funcspace import DirectionalFunction, ball_average, parse_function_spec
 from tangentia.maxop import (
@@ -414,16 +414,84 @@ def test_unbounded_1d_field_keeps_inf_marker(spec, box):
     assert all(rs.radii[-1] == math.inf for rs in radii)
 
 
+def _recorded(fn):
+    """fn, and the hex of every argument it is called with, in order."""
+    seen = []
+
+    def rec(t):
+        seen.append(float(t).hex())
+        return fn(float(t))
+
+    return rec, seen
+
+
+def _tent_profile():
+    # the objective maxop's radius search minimizes: minus the averages of
+    # |tent| about 0.7, probed on the 512-radius grid's profile
+    f = funcspace.absolute(tent())
+    profile = funcspace._ShellProfile(f, np.array([0.7]), np.geomspace(1e-3, 45.0, 512))
+    return lambda r: -profile(r)
+
+
+_BRENT_OBJECTIVES = {
+    "parabola": lambda c, d: lambda t: (t - c) ** 2,
+    "two-bumps": lambda c, d: lambda t: -(
+        math.exp(-((t - c) ** 2) / 0.3) + 0.8 * math.exp(-((t - d) ** 2) / 0.05)
+    ),
+    "plateau": lambda c, d: lambda t: 1.5,
+    # terraces: ties between a new value and an old one, where the two
+    # methods must keep the same points
+    "terraces": lambda c, d: lambda t: math.floor(64.0 * (t - c) ** 2) / 64.0,
+    "tent-profile": lambda c, d: _tent_profile(),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_BRENT_OBJECTIVES)),
+    st.floats(0.0, 6.0),
+    st.floats(0.0, 6.0),
+    st.floats(1e-3, 4.0),
+    st.floats(1e-9, 4.0),
+    st.floats(-12.0, -2.0),
+)
+@example("tent-profile", 0.0, 0.0, 0.299, 0.01, -10.0)
+@example("plateau", 0.0, 0.0, 1.0, 2.0, -12.0)
+# a tie with the second-best point (fu == f(nfc)) that changes later steps
+@example("terraces", 4.838945376192573, 0.0, 3.0365824697424926, 3.147268823026511, -11.010201079748134)
+def test_bounded_min_probes_as_scipy_does(name, c, d, a, width, log_tol):
+    # the in-house Brent probes the points scipy's bounded method and
+    # fminbound probe, in order, and returns the same argmin and minimum
+    b, xatol = a + width, 10.0**log_tol
+    make = _BRENT_OBJECTIVES[name]
+    rec, ours = _recorded(make(c, d))
+    x, fx = funcspace._bounded_min(rec, a, b, xatol)
+    rec, theirs = _recorded(make(c, d))
+    res = minimize_scalar(rec, bounds=(a, b), method="bounded", options={"xatol": xatol})
+    assert ours == theirs
+    assert (x.hex(), float(fx).hex()) == (float(res.x).hex(), float(res.fun).hex())
+    rec, theirs = _recorded(make(c, d))
+    xf, fval, _, _ = fminbound(rec, a, b, xtol=xatol, full_output=True, disp=0)
+    assert ours == theirs
+    assert (x.hex(), float(fx).hex()) == (float(xf).hex(), float(fval).hex())
+
+
 def test_1d_fields_do_not_import_scipy_integrate():
-    # every 1D ball average is a shell profile: no adaptive quadrature
+    # every 1D ball average is a shell profile: no adaptive quadrature; the
+    # radius search refines in-house, so no field imports scipy.optimize,
+    # and neither does the 1D infconv's seed refinement
     code = (
         "import sys\n"
         "from tangentia.funcspace import parse_function_spec as p\n"
         "from tangentia.maxop import maximal_field\n"
+        "loaded = lambda: sorted({'scipy.optimize', 'scipy.integrate'} & set(sys.modules))\n"
         "maximal_field(p('tent'), (-2.0, 2.0), 5)\n"
         "maximal_field(p('dist[0,1.5]'), (-2.0, 3.0), 5)\n"
+        "maximal_field(p('gauss(0.5)'), (-2.0, 2.0), 5)\n"
+        "maximal_field(p('gauss(0.5,3)'), ((0.3, 0.0, 0.0), (1.3, 0.1, 0.1)), (2, 1, 1))\n"
+        "print(loaded())\n"
         "maximal_field(p('infconv(tent,0.5)'), (-1.0, 1.0), 2, r_max=2.0)\n"
-        "print('scipy.integrate' in sys.modules)\n"
+        "print(loaded())\n"
     )
     src = str(Path(tangentia.__file__).resolve().parents[1])
     done = subprocess.run(
@@ -433,7 +501,7 @@ def test_1d_fields_do_not_import_scipy_integrate():
         text=True,
         check=True,
     )
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split("\n") == ["[]", "[]", ""]
     assert done.stderr == ""
 
 
