@@ -72,6 +72,8 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
 def _config_value(key: str, value, action: argparse.Action):
     """A --config value read as the flag's parser reads the flag's text; a
     value the flag would refuse is a usage error that names the key."""
+    if isinstance(value, list) and action.type is _node_counts:
+        value = ",".join(map(str, value))  # one count per axis, as headers write them
     if action.nargs == 0:  # a switch such as --strict
         ok = isinstance(value, bool)
     elif value is None:  # the unset default of an optional flag
@@ -125,10 +127,19 @@ def _parse_point(s: str) -> np.ndarray:
         raise SpecParseError(f"bad point {s!r}: {exc}")
 
 
-def _parse_box(s: str, n: int, resolution: int):
+def _node_counts(s: str):
+    """``--res`` and ``--y-res``: one node count for every axis (``5``) or
+    one per axis (``5,1``), as ``funcspace._box_grid`` takes them."""
+    counts = tuple(int(t) for t in s.split(","))
+    return counts[0] if len(counts) == 1 else counts
+
+
+def _parse_box(s: str, n: int, resolution):
     """``lo,hi`` (all axes) or ``lo1,hi1;lo2,hi2;...`` per axis, for a grid
-    of ``resolution`` nodes per axis.  A box the library's box rule refuses
-    is a usage error; a corner that is not finite is left to the library."""
+    of ``resolution`` nodes, one count for every axis or one per axis.  A
+    box the library's box rule refuses, or a count for each of the wrong
+    number of axes, is a usage error; a corner that is not finite is left
+    to the library."""
     pairs = [p for p in s.split(";") if p]
     vals = [_parse_point(p) for p in pairs]
     if any(v.size != 2 for v in vals):
@@ -139,8 +150,13 @@ def _parse_box(s: str, n: int, resolution: int):
         raise SpecParseError(f"box {s!r} has {len(vals)} axes, function has {n}")
     lo = np.array([v[0] for v in vals])
     hi = np.array([v[1] for v in vals])
+    counts = np.asarray(resolution)
+    if counts.size not in (1, n):
+        raise SpecParseError(
+            f"resolution {resolution} has {counts.size} node counts, the box has {n} axes"
+        )
     try:
-        funcspace._box_order(lo, hi, resolution)
+        funcspace._box_order(lo, hi, counts)
     except ValueError as exc:
         raise SpecParseError(f"box {s!r}: {exc}") from None
     return lo, hi
@@ -372,7 +388,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--lambda", dest="lam", type=float, default=0.0)
     sp.add_argument("--box", required=True, help="lo,hi or lo1,hi1;lo2,hi2")
-    sp.add_argument("--res", type=int, default=128)
+    sp.add_argument("--res", type=_node_counts, default=128)
     sp.add_argument("--r-max", dest="r_max", type=float, default=None)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True)
@@ -407,7 +423,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("singular-set", help="grid scan for non-differentiability")
     common(sp)
     sp.add_argument("--box", required=True)
-    sp.add_argument("--res", type=int, default=64)
+    sp.add_argument("--res", type=_node_counts, default=64)
     sp.add_argument("--tol", type=float, default=1e-3)
     sp.add_argument("--no-gamma", dest="no_gamma", action="store_true")
     sp.add_argument("--out", required=True)
@@ -420,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set-polygon", dest="set_polygon", default=None,
                     help="JSON file with a closed vertex loop")
     sp.add_argument("--box", required=True)
-    sp.add_argument("--res", type=int, default=128)
+    sp.add_argument("--res", type=_node_counts, default=128)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_medial_axis)
 
@@ -428,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--point", required=True)
     sp.add_argument("--y-box", dest="y_box", required=True)
-    sp.add_argument("--y-res", dest="y_res", type=int, default=257)
+    sp.add_argument("--y-res", dest="y_res", type=_node_counts, default=257)
     sp.add_argument("--t", type=float, default=1.0, help="coupling |x-y|^2/(2t)")
     sp.add_argument("--strict", action="store_true")
     sp.add_argument("--out", default=None)

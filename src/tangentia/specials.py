@@ -345,7 +345,7 @@ def inf_convolution(
     obj = lambda y: u(y) + float(coupling(x, y))  # noqa: E731
     # the first and last grid nodes are the box corners
     best, minimizers, boundary = _envelope_min(
-        obj, ys, vals, (int(y_resolution),) * n, ys[0], ys[-1], cell, tol
+        obj, ys, vals, tuple(np.broadcast_to(y_resolution, n).tolist()), ys[0], ys[-1], cell, tol
     )
     if strict and boundary:
         raise ValueError(

@@ -253,6 +253,73 @@ def test_flat_axis_below_the_scan_minimum_exits_1(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "how", [["--res", "5,1"], {"res": "5,1"}, {"res": [5, 1]}], ids=["flag", "config-text", "config-list"]
+)
+def test_one_node_count_per_axis_in_maximal_field(how, tmp_path):
+    # a line of 5 points on the flat axis x2 = 0, as maximal_field takes
+    # resolution (5, 1); the header echoes the counts as a list
+    out = tmp_path / "f.csv"
+    argv = ["maximal-field", "--function", "gauss(0.5,2)", "--box=-1,1;0,0", "--out", str(out)]
+    if isinstance(how, dict):
+        (tmp_path / "c.json").write_text(json.dumps(how))
+        how = ["--config", str(tmp_path / "c.json")]
+    assert run(argv + how) == 0
+    header = json.loads(out.read_text().splitlines()[0][2:])
+    assert header["options"]["res"] == [5, 1]
+    rows = read_body(out).splitlines()
+    assert len(rows) == 6 and [r.split(",")[:2] for r in rows[1:]] == [
+        [x, "0"] for x in ("-1", "-0.5", "0", "0.5", "1")
+    ]
+
+
+@pytest.mark.parametrize(
+    "how", [["--res", "5,1,1"], ["--res", "5,x"], {"res": [5, 1, 1]}, {"res": [5, True]}],
+    ids=["three-counts", "not-a-count", "config-three-counts", "config-bool"],
+)
+def test_node_counts_for_the_wrong_axes_exit_2(how, tmp_path, capsys):
+    out = tmp_path / "f.csv"
+    argv = ["maximal-field", "--function", "gauss(0.5,2)", "--box=-1,1;0,0", "--out", str(out)]
+    if isinstance(how, dict):
+        (tmp_path / "c.json").write_text(json.dumps(how))
+        how = ["--config", str(tmp_path / "c.json")]
+    try:
+        code = run(argv + how)
+    except SystemExit as exc:  # argparse refuses the flag's text itself
+        code = exc.code
+    assert code == 2
+    assert not out.exists()
+    if how[0] == "--res" and how[1] == "5,1,1":
+        assert "resolution (5, 1, 1) has 3 node counts, the box has 2 axes" in capsys.readouterr().err
+
+
+def test_scans_refuse_a_one_node_axis_given_per_axis(tmp_path, capsys):
+    # per-axis counts reach the scans, which still need two nodes per axis
+    out = tmp_path / "o.csv"
+    for argv in (
+        ["singular-set", "--function", "maxaffine[(1,0,0),(-1,0,0)]", "--box=-1,1;0,0"],
+        ["medial-axis", "--set-points=-1,0;1,0", "--box=-1,1;0.5,0.5"],
+    ):
+        assert run(argv + ["--res", "5,1", "--out", str(out)]) == 1
+        assert "need at least 2 grid points per axis, got resolution (5, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_infconv_takes_one_y_node_count_per_axis(capsys):
+    # the grid-local minima are found on the per-axis shape, and the
+    # descent from them ends where the square grid's does
+    base = ["infconv", "--function", "gauss(0.5,2)", "--point", "0.3,0.2", "--y-box=-3,3"]
+    results = []
+    for res in ("41", "41,31"):
+        assert run(base + ["--y-res", res]) == 0
+        results.append(json.loads(capsys.readouterr().out))
+    square, per_axis = (doc["result"] for doc in results)
+    assert results[1]["config"]["options"]["y_res"] == [41, 31]
+    assert per_axis["value"] == pytest.approx(square["value"], abs=1e-9)
+    assert np.allclose(per_axis["minimizers"], square["minimizers"], atol=1e-4)
+    assert per_axis["boundary_attained"] is False
+
+
 def test_gauss_dimension_parse_error_exits_2(capsys):
     rc = run(
         ["dirderiv", "--function", "gauss(0.5,4)", "--point", "0", "--theta", "1"]

@@ -191,11 +191,12 @@ def test_ball_average_radii_sparse_radii_accurate(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 4_349_952)])
+@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 2_367_488)])
 def test_ball_average_radii_cost_and_chunks(n, evals):
     # the maximal-operator grid: the first ball as 20 pieces of 4 shells
     # from 0, then 4 shells per gap, in batches of at most _CHUNK_POINTS
-    # points
+    # points; in 3D each shell below the switch costs 512 + 128
+    # directions, and each one beyond it 2,048 (all of them: 4,349,952)
     # (of a gauss that declares no zero radius, so every shell is evaluated)
     f, sizes = _counting(replace(make_gauss(0.5, n), zero_outside=None))
     radii = np.geomspace(1e-3, 100.0, 512)
@@ -204,7 +205,7 @@ def test_ball_average_radii_cost_and_chunks(n, evals):
     assert max(sizes) <= funcspace._CHUNK_POINTS
 
 
-@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 3_758_080)])
+@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 1_775_616)])
 def test_ball_average_radii_cost_with_zero_radius(n, evals):
     # gauss(0.5) declares its zero radius 19.36, so on the same grid the
     # shells beyond 19.36 + |x| (radii up to 100) are not evaluated
@@ -374,13 +375,12 @@ def test_ball_average_of_affine_is_center_value(n, a, c, x, r):
     assert abs(ball_average(f, x, r) - fx) <= tol
 
 
-def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0):
-    """_ShellProfile.annulus_integrals with the broadcast coordinate fill."""
+def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, switch=0.0):
+    """_ShellProfile.annulus_integrals with the broadcast coordinate fill:
+    the shells of radius below the switch on the half-order rule, the
+    others on the quadrature's own rule, each run in its own chunks."""
     n = f.dimension
-    dirs, wdir = funcspace._ball_directions(
-        n, quadrature.radial_order, quadrature.angular_order
-    )
-    m = len(dirs)
+    q, ang = quadrature.radial_order, quadrature.angular_order
     pieces = np.maximum(1, np.ceil((hi - lo) / (funcspace._MAX_PIECE * hi))).astype(int)
     gap = np.repeat(np.arange(len(lo)), pieces)
     j = np.arange(len(gap)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
@@ -396,14 +396,18 @@ def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0):
     half = 0.5 * (b - a)
     s = ((0.5 * (a + b))[:, None] + half[:, None] * funcspace._GL_NODES).ravel()
     shell = np.empty(len(s))
-    per_chunk = max(1, funcspace._CHUNK_POINTS // m)
-    for i in range(0, len(s), per_chunk):
-        k = min(per_chunk, len(s) - i)
-        coords = np.empty((n, k, m))
-        np.multiply((s * scale)[None, i : i + k, None], dirs.T[:, None, :], out=coords)
-        coords += x[:, None, None]
-        vals = f.evaluate_many(coords.reshape(n, -1).T)
-        shell[i : i + k] = vals.reshape(-1, m) @ wdir
+    j = int(np.sum(s * scale < switch))
+    for start, stop, order in ((0, j, q // 2), (j, len(s), q)):
+        dirs, wdir = funcspace._ball_directions(n, order, ang)
+        m = len(dirs)
+        per_chunk = max(1, funcspace._CHUNK_POINTS // m)
+        for i in range(start, stop, per_chunk):
+            k = min(per_chunk, stop - i)
+            coords = np.empty((n, k, m))
+            np.multiply((s * scale)[None, i : i + k, None], dirs.T[:, None, :], out=coords)
+            coords += x[:, None, None]
+            vals = f.evaluate_many(coords.reshape(n, -1).T)
+            shell[i : i + k] = vals.reshape(-1, m) @ wdir
     radial = (s ** (n - 1) * shell).reshape(-1, funcspace._GAP_NODES) @ funcspace._GL_WEIGHTS
     return np.bincount(gap, weights=half * radial, minlength=len(lo))
 
@@ -420,11 +424,15 @@ def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0):
     ids=["tent", "tent-scaled", "maxaffine-2d", "gauss-2d", "gauss-3d"],
 )
 def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
+    # in 3D the profile's switch (0.52 here) splits the annuli between
+    # its two rules
     x = np.array(x)
     radii = np.geomspace(1e-3, 20.0, 64)
     lo, hi = radii[:-1], radii[1:]
-    got = funcspace._ShellProfile(f, x, radii).annulus_integrals(lo, hi, scale)
-    want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale)
+    profile = funcspace._ShellProfile(f, x, radii)
+    assert (f.dimension == 3) == (radii[0] < profile.switch < radii[-1])
+    got = profile.annulus_integrals(lo, hi, scale)
+    want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale, profile.switch)
     assert np.all(got == want)
 
 
@@ -457,9 +465,10 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
     # (f without its zero radius, so every shell of a probe is evaluated)
     f, sizes = _counting(absolute(replace(f, zero_outside=None)))
     x, radii = np.array(x), np.array(radii, dtype=float)
+    # (in 3D, the gap (0.1, 0.105) lies below the switch, 0.53, and
+    # evaluates 512 directions a shell; (1, 2.47) lies beyond it: 2,048)
     profile = funcspace._ShellProfile(f, x, radii)
     assert profile.table.tobytes() == ball_average_radii(f, x, radii).tobytes()
-    m = len(profile.wdir)
     cuts = np.abs(np.array(f.kinks) - x[0]) if f.kinks else np.zeros(0)
     many = 0
     for r in probes:
@@ -467,6 +476,8 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
         pieces = max(1, math.ceil((r - g) / (funcspace._MAX_PIECE * r)))
         pieces += int(np.sum((cuts > g) & (cuts < r)))
         many += pieces > 1
+        assert (g < profile.switch) == (r < profile.switch)
+        m = len(profile.coarse[1] if r < profile.switch else profile.wdir)
         del sizes[:]
         got = profile(r)
         assert sum(sizes) == funcspace._GAP_NODES * m * pieces
@@ -494,6 +505,136 @@ def test_shell_profile_probes_with_its_own_quadrature(n, quadrature, m):
         assert sum(sizes) == funcspace._GAP_NODES * m * pieces
         assert got == _probe_reference(profile, radii, r)
         assert got == pytest.approx(ball_average(f, x, r, quadrature), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# 3D: the half-order rule below the switch
+
+
+def _table_reference(f, x, radii, quadrature=DEFAULT_QUADRATURE, switch=0.0):
+    """_ShellProfile's table on positive radii, from _annulus_reference:
+    with no switch, every shell on the quadrature's own rule."""
+    n, vol = f.dimension, unit_ball_volume(f.dimension)
+    first = _annulus_reference(f, x, np.zeros(1), np.ones(1), quadrature, radii[0], switch)[0]
+    annuli = _annulus_reference(f, x, radii[:-1], radii[1:], quadrature, 1.0, switch)
+    totals = first * radii[0] ** n + np.cumsum(annuli)
+    return np.concatenate(([first / vol], totals / (vol * radii[1:] ** n)))
+
+
+def _fixed_probe(f, x, radii, table, r):
+    """A probe at r on the quadrature's own rule: table[k] at the largest
+    radius g <= r, plus the annulus (g, r)."""
+    k = int(np.searchsorted(radii, r, side="right")) - 1
+    g, vol = float(radii[k]), unit_ball_volume(3)
+    annulus = _annulus_reference(f, x, np.array([g]), np.array([r]), DEFAULT_QUADRATURE)[0]
+    return float((table[k] * vol * g**3 + annulus) / (vol * r**3))
+
+
+@st.composite
+def _3d_cases(draw):
+    """gauss of width 0.2-2, |a 3-5-piece max-affine| (what the radius
+    search averages) or the distance to 3 points; x in [-2, 2]^3; 32
+    radii from 0.05 to 8, and 4 probes."""
+    from tangentia.specials import ClosedSetModel, distance_function
+
+    kind = draw(st.sampled_from(["gauss", "maxaffine", "dist"]))
+    point = st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3)
+    if kind == "gauss":
+        f = make_gauss(draw(st.floats(0.2, 2.0)), 3)
+    elif kind == "maxaffine":
+        k = draw(st.integers(3, 5))
+        piece = st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)
+        rows = np.array(draw(st.lists(piece, min_size=k, max_size=k)))
+        f = absolute(make_maxaffine(rows[:, :3], rows[:, 3]))
+    else:
+        f = distance_function(ClosedSetModel.from_points(draw(st.lists(point, min_size=3, max_size=3))))
+    radii = np.geomspace(0.05, 8.0, 32)
+    probes = draw(st.lists(st.floats(0.05, 8.0), min_size=4, max_size=4))
+    return kind, f, np.array(draw(point)), radii, probes
+
+
+@settings(max_examples=15, deadline=None)
+@given(_3d_cases())
+def test_3d_switch_keeps_the_fixed_rule_values(case):
+    # every table value and probe against the fixed 2,048-direction rule:
+    # within 1e-12 on gauss; on the kinked functions, where both coarse
+    # rules miss a kink until it covers about 8 degrees of a shell, within
+    # 1e-12 plus the fixed rule's own worst error on the table (measured
+    # against the 8,192-direction rule: about 1e-5 of the average, while
+    # the half-order rule lost at most 5e-8)
+    kind, f, x, radii, probes = case
+    profile = funcspace._ShellProfile(f, x, radii)
+    fixed = _table_reference(f, x, radii)
+    got = np.concatenate((profile.table, [profile(r) for r in probes]))
+    want = np.concatenate((fixed, [_fixed_probe(f, x, radii, fixed, r) for r in probes]))
+    own = 0.0
+    if kind != "gauss":
+        finer = _table_reference(f, x, radii, QuadratureConfig(radial_order=64))
+        own = float(np.max(np.abs(fixed - finer)))
+    assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want) + own)
+
+
+@pytest.mark.parametrize("delta", [0.002, 0.05, 1.0])
+def test_3d_switch_lands_where_a_shell_crosses_the_kink(delta):
+    # |x1| is affine on every shell about x short of the plane x1 = 0, so
+    # the coarse rules agree there; the switch comes once a shell's cap
+    # beyond the plane reaches a node (measured 1.010-1.016 delta)
+    f = absolute(parse_function_spec("maxaffine[(1,0,0,0),(-1,0,0,0)]"))
+    for x in ([delta, 0.0, 0.0], [-delta, 0.3, -0.2]):
+        profile = funcspace._ShellProfile(f, np.array(x), np.geomspace(1e-3, 8.0, 512))
+        assert delta <= profile.switch <= 1.05 * delta
+
+
+def test_3d_grid_function_loses_less_than_the_fixed_rule_error():
+    # a grid function whose one nonzero sample makes a small hat: the
+    # shells first meet the hat in a small cap, which the coarse rules can
+    # miss; against the 32,768-direction rule the fixed rule's own worst
+    # error on the table is 8.2e-5 (of averages up to 0.0138), and the
+    # half-order rule moves the values by at most 4.5e-7, 0.5 % of it
+    samples = np.zeros(9**3)
+    samples[np.ravel_multi_index((6, 4, 4), (9, 9, 9))] = 1.0  # at (0.5, 0, 0)
+    f = absolute(GridFunction((-1.0,) * 3, (1.0,) * 3, (9,) * 3, samples).as_function())
+    x = np.zeros(3)
+    radii = np.geomspace(0.2, 0.98, 24)
+    profile = funcspace._ShellProfile(f, x, radii)
+    assert 0.25 < profile.switch < 0.26  # where the shells reach the hat
+    fixed = _table_reference(f, x, radii)
+    own = np.max(np.abs(fixed - _table_reference(f, x, radii, QuadratureConfig(radial_order=128))))
+    assert np.max(np.abs(profile.table - fixed)) <= 0.1 * own
+
+
+@pytest.mark.parametrize("order, m", [(5, 50), (8, 128)])
+def test_3d_low_orders_keep_one_rule(order, m):
+    # at radial_order 5 the half- and quarter-order rules are both the same
+    # 16 directions, so a check would pass every shell: the profile keeps
+    # the full rule; from order 8 on the two differ (32 and 16 directions)
+    quadrature = QuadratureConfig(radial_order=order)
+    f, sizes = _counting(make_gauss(0.5, 3))
+    profile = funcspace._ShellProfile(f, np.full(3, 0.2), np.array([0.1, 1.0, 2.0]), quadrature)
+    assert len(profile.wdir) == m
+    if order < 8:
+        assert profile.coarse is None and profile.switch == 0.0
+        assert all(k % m == 0 for k in sizes)
+    else:
+        assert len(profile.coarse[1]) == 32 and len(profile.check[1]) == 16
+        assert 0.0 < profile.switch < 2.0
+
+
+def test_3d_switch_check_changes_no_bit():
+    # the table, built while the switch is checked, is bitwise the table
+    # assembled from the finished profile's annulus integrals, which reuse
+    # the switch (a matrix-vector product of fewer rows can change a sum's
+    # last bits, and here it would)
+    f = make_gauss(0.5, 3)
+    x, radii = np.array([-1.18, 0.39, 1.28]), np.geomspace(1e-3, 20.0, 64)
+    profile = funcspace._ShellProfile(f, x, radii)
+    first = profile.annulus_integrals(np.zeros(1), np.ones(1), radii[0])[0]
+    annuli = profile.annulus_integrals(radii[:-1], radii[1:])
+    vol = unit_ball_volume(3)
+    totals = first * radii[0] ** 3 + np.cumsum(annuli)
+    table = np.concatenate(([first / vol], totals / (vol * radii[1:] ** 3)))
+    assert table.tobytes() == profile.table.tobytes()
+    assert profile.table.tobytes() == _table_reference(f, x, radii, switch=profile.switch).tobytes()
 
 
 @pytest.mark.parametrize("n, r", [(1, 1e308), (2, 1e154), (3, 1e103)])
