@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from typing import Dict, Optional
@@ -90,13 +89,6 @@ def _config_value(key: str, value, action: argparse.Action):
         flag = action.option_strings[0]
         raise SpecParseError(f"--config key {key!r}: {value!r} is not a valid {flag}")
     return value
-
-
-def _thread_count(requested: int) -> int:
-    cap = os.environ.get("TANGENTIA_THREADS")
-    if cap:
-        return max(1, min(int(requested), int(cap)))
-    return max(1, int(requested))
 
 
 def _prepend_config(path: str, cfg: ExperimentConfig):
@@ -200,14 +192,7 @@ def cmd_maximal_field(cfg: ExperimentConfig) -> int:
     o = cfg.options
     f = funcspace.parse_function_spec(o["function"])
     lo, hi = _parse_box(o["box"], f.dimension, o["res"])
-    pts, values, radii = maxop.maximal_field(
-        f,
-        (lo, hi),
-        o["res"],
-        lam=o["lam"],
-        r_max=o["r_max"],
-        threads=_thread_count(o["threads"]),
-    )
+    pts, values, radii = maxop.maximal_field(f, (lo, hi), o["res"], lam=o["lam"], r_max=o["r_max"])
     maxop.field_to_csv(pts, values, radii, o["out"])
     _prepend_config(o["out"], cfg)
     print(f"wrote {pts.shape[0]} rows to {o['out']}")
@@ -322,6 +307,8 @@ def cmd_infconv(cfg: ExperimentConfig) -> int:
 
 def cmd_tangency(cfg: ExperimentConfig) -> int:
     o = cfg.options
+    if o["bases"] < 1:
+        raise ValueError(f"--bases must be >= 1, got {o['bases']}")
     points = tangency.load_point_cloud(o["points"])
     k = o["k"]
     payload: Dict[str, object] = {}
@@ -390,7 +377,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--box", required=True, help="lo,hi or lo1,hi1;lo2,hi2")
     sp.add_argument("--res", type=_node_counts, default=128)
     sp.add_argument("--r-max", dest="r_max", type=float, default=None)
-    sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_maximal_field)
 

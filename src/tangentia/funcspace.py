@@ -629,18 +629,18 @@ class _ShellProfile:
     Gauss-Legendre x azimuth family: below the ``switch`` radius on the
     half radial order (``coarse``, 512 directions at the default order
     32), at and beyond it on the full order (2,048).  The table's shells
-    run in ascending radius, and each chunk of them is also summed on the
-    quarter order (``check``, 128 directions): the switch is the first
-    shell where the two coarse sums differ by more than _COARSE_TOL of
-    the half-order sum, or either is not finite, and if none does, the
-    largest tabulated radius, since no shell beyond it was checked (a
-    ``radial_order`` below 8 keeps one rule: there the two coarse rules
-    can both be the same 16 directions).  Two
-    sums of exactly 0.0 agree, so a declared ``zero_outside`` still
-    changes no bit.  Probes and later :meth:`annulus_integrals` calls
-    reuse the switch without checking, so a probe stays the annulus
-    integral of the table's own rules, and the table is bitwise what
-    those calls assemble.  1D and 2D shells use the one rule (in 2D the
+    run in ascending radius, and the chunk loop that sums them on the half
+    order also sums the quarter order (``check``, 128 directions): the
+    switch is the first shell where the two coarse sums differ by more
+    than _COARSE_TOL of the half-order sum, or either is not finite, and
+    if none does, the largest tabulated radius, since no shell beyond it
+    was checked (a ``radial_order`` below 8 keeps one rule: there the two
+    coarse rules can both be the same 16 directions).  Two sums of
+    exactly 0.0 agree, so a declared ``zero_outside`` still changes no
+    bit.  Probes and later :meth:`annulus_integrals` calls reuse the
+    switch without checking, so a probe stays the annulus integral of the
+    table's own rules, and the table is bitwise what those calls
+    assemble.  1D and 2D shells use the one rule (in 2D the
     same ladder on 32 and 16 of the 64 angles changed the evaluations of
     a ``maxop.maximal`` call by -14 % to +18 % at 12 random points).
 
@@ -780,8 +780,11 @@ class _ShellProfile:
         width is left to the caller.
 
         A 3D shell below the ``switch`` is summed on the half-order rule,
-        one at or beyond it on the full rule.  While the table is built
-        the switch is not yet known, and :meth:`_check_coarse` finds it.
+        one at or beyond it on the full rule, each by the one chunk loop of
+        :meth:`_shells`.  While the table is built the switch is not yet
+        known: the half-order loop also sums the quarter-order rule, stops
+        at the first shell where the two disagree and sets the switch to
+        its radius, and the full rule takes the shells from there.
 
         The shell points are evaluated _CHUNK_POINTS // m radii at a time,
         written into one coordinate buffer that the call reuses: one einsum
@@ -810,60 +813,49 @@ class _ShellProfile:
         first, last = (0, len(s)) if self.reach is None else scaled.searchsorted(self.reach).tolist()
         shell = np.zeros(len(s))
         start = 0
-        if self.switch is None:
-            start = self._check_coarse(shell, scaled, first, last)
+        if self.switch is None:  # the table: the check rule places the switch
+            start = self._shells(shell, scaled, 0, len(s), first, last, self.coarse, self.check)
+            if start < len(s):
+                self.switch = float(scaled[start])
         elif self.coarse is not None:
             start = int(scaled.searchsorted(self.switch))
             self._shells(shell, scaled, 0, start, first, last, self.coarse)
         self._shells(shell, scaled, start, len(s), first, last, (self.dirs_t, self.wdir))
         return (s ** (self.n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
 
-    def _shells(self, shell, scaled, start, stop, first, last, rule):
+    def _shells(self, shell, scaled, start, stop, first, last, rule, check=None) -> int:
         """Write the direction sums of f on the rule = (directions,
         weights) into shell[start:stop], chunk by chunk; the shells outside
-        [first, last) keep 0.0."""
+        [first, last) keep 0.0.  Returns stop, or, given a check rule, the
+        index of the first shell where its sum disagrees: where the two
+        sums differ by more than _COARSE_TOL of the rule's sum, or either
+        is not finite.  The shells of that chunk before it are written, as
+        a later call with that stop lays them out.  Two sums of exactly
+        0.0 agree, so the shells skipped outside [first, last) agree."""
         dirs_t, wdir = rule
         per_chunk = max(1, _CHUNK_POINTS // len(wdir))
         buf = np.empty(self.n * min(per_chunk, stop - start) * len(wdir))
         for i in range(start, stop, per_chunk):
             k = min(per_chunk, stop - i)
             lo, hi = max(i, first), min(i + k, last)
-            if lo < hi:  # else f is 0.0 on every shell of the chunk
-                rows = self._values(buf, scaled[lo:hi], dirs_t)
-                shell[i : i + k] = _chunk_sums(rows, lo - i, k, wdir)
-
-    def _check_coarse(self, shell, scaled, first, last) -> int:
-        """Write the half-order rule's direction sums into shell, chunk by
-        chunk as :meth:`_shells` does, up to the first shell where the
-        quarter-order rule disagrees: where the two sums differ by more
-        than _COARSE_TOL of the half-order sum, or either is not finite.
-        That shell's radius becomes the switch, and its index is returned
-        (len(scaled) if every shell agrees).  Two sums of exactly 0.0
-        agree, so the shells skipped outside [first, last) agree."""
-        (dirs_t, wdir), (check_t, check_w) = self.coarse, self.check
-        per_chunk = max(1, _CHUNK_POINTS // len(wdir))
-        buf = np.empty(self.n * min(per_chunk, len(scaled)) * len(wdir))
-        for i in range(0, len(scaled), per_chunk):
-            k = min(per_chunk, len(scaled) - i)
-            lo, hi = max(i, first), min(i + k, last)
-            if lo >= hi:
+            if lo >= hi:  # f is 0.0 on every shell of the chunk
                 continue
-            # the check first: its evaluation reuses the buffer that the
-            # rows may still view
-            checked = _chunk_sums(self._values(buf, scaled[lo:hi], check_t), lo - i, k, check_w)
+            if check is not None:
+                # the check first: its evaluation reuses the buffer that the
+                # rows may still view
+                checked = _chunk_sums(self._values(buf, scaled[lo:hi], check[0]), lo - i, k, check[1])
             rows = self._values(buf, scaled[lo:hi], dirs_t)
             sums = _chunk_sums(rows, lo - i, k, wdir)
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
-                agree = (np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)) & (np.abs(sums) < math.inf)
-            if agree.all():
-                shell[i : i + k] = sums
-                continue
-            d = i + int(np.argmin(agree))
-            self.switch = float(scaled[d])
-            if lo < d:  # the chunk cut at the switch, as a later call lays it out
-                shell[i:d] = _chunk_sums(rows[: d - lo], lo - i, d - i, wdir)
-            return d
-        return len(scaled)
+            if check is not None:
+                with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
+                    agree = (np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)) & (np.abs(sums) < math.inf)
+                if not agree.all():
+                    d = i + int(np.argmin(agree))
+                    if lo < d:
+                        shell[i:d] = _chunk_sums(rows[: d - lo], lo - i, d - i, wdir)
+                    return d
+            shell[i : i + k] = sums
+        return stop
 
     def _values(self, buf, radii, dirs_t) -> np.ndarray:
         """f at x + t u for each t in radii and each direction u, a column

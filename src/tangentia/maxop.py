@@ -364,20 +364,13 @@ def maximal_field(
     r_max: Optional[float] = None,
     threads: int = 1,
 ):
-    """(points, values, radii sets) of the operator over a grid, row-major."""
+    """(points, values, radii sets) of the operator over a grid, row-major:
+    one :func:`maximal` call per point, in order.  ``threads`` must be 1."""
+    if threads != 1:
+        raise ValueError(f"threads must be 1: the field points run in order, got {threads}")
     pts, _ = _box_grid(box, resolution, f.dimension, 1)
     _check_reach(f, pts, r_max)
-
-    def work(p):
-        return maximal(f, p, lam, r_max)
-
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(work, pts))
-    else:
-        results = [work(p) for p in pts]
+    results = [maximal(f, p, lam, r_max) for p in pts]
     values = np.array([v for v, _ in results])
     radii = [rs for _, rs in results]
     return pts, values, radii

@@ -127,11 +127,22 @@ def _positive_tol(tol: float):
         raise ValueError(f"tol must be finite and > 0, got {tol}")
 
 
+def _radii(radii) -> np.ndarray:
+    """A ladder's radii as an array, DEFAULT_LADDER for None; an empty
+    ladder, or a radius that is not finite and > 0, is refused."""
+    if radii is None:
+        return DEFAULT_LADDER
+    radii = np.asarray(radii, dtype=float)
+    if radii.ndim != 1 or not radii.size or not np.all((radii > 0.0) & (radii < math.inf)):
+        raise ValueError(f"ladder radii must be finite and > 0, at least one; got {radii.tolist()}")
+    return radii
+
+
 def quotient_ladder(f: DirectionalFunction, x, theta, ladder=None) -> np.ndarray:
     """Difference quotients along theta at each ladder radius."""
     x = _point(x, f.dimension)
     theta = _direction(theta, f.dimension)
-    ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
+    ladder = _radii(ladder)
     fx = f(x)
     pts = x[None, :] + ladder[:, None] * theta[None, :]
     return (f.evaluate_many(pts) - fx) / ladder
@@ -202,7 +213,7 @@ def tau(
         raise ValueError("W must be nontrivial")
     if n_dir < 2 * f.dimension:
         raise ValueError(f"need n_dir >= {2 * f.dimension}")
-    ladder = DEFAULT_LADDER if ladder is None else np.asarray(ladder, dtype=float)
+    ladder = _radii(ladder)
     dirs = sample_unit_vectors(W, n_dir, seed)
     S = W.span_basis()
     A = dirs @ S  # minimax fit in span coordinates (Prop-2.1-style equivalence)
@@ -230,13 +241,16 @@ class GammaBudget:
     """Sampling budget for the degree search.
 
     Every residual is tau's value for a ladder whose last rung is
-    ``radius``; the default is DEFAULT_LADDER's last rung.
+    ``radius``, finite and > 0; the default is DEFAULT_LADDER's last rung.
     """
 
     candidates_per_dim: int = 64
     b_per_candidate: int = 32
     directions: int = 24
     radius: float = float(DEFAULT_LADDER[-1])
+
+    def __post_init__(self):
+        _radii([self.radius])
 
 
 @dataclass(frozen=True)

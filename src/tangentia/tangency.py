@@ -345,6 +345,8 @@ def sigma_decompose(
     This is an instrument, not a certificate: the clustering is greedy
     and the verdict inherits the shell-trend operationalization.
     """
+    if pieces < 1:
+        raise ValueError(f"pieces must be >= 1, got {pieces}")
     points = _cloud(points)
     _check_k(k, points.shape[1])
     npts = points.shape[0]

@@ -773,6 +773,25 @@ def test_tangency_k_outside_dimension_exits_1(k, sigma, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [(["--bases", "0"], "--bases must be >= 1, got 0"),
+     (["--bases", "-1"], "--bases must be >= 1, got -1"),
+     (["--sigma", "--pieces", "0"], "pieces must be >= 1, got 0")],
+    ids=["bases-0", "bases-negative", "pieces-0"],
+)
+def test_tangency_count_below_one_exits_1(flags, message, tmp_path, capsys):
+    # on this straight line --bases 0 wrote no reports and --pieces 0
+    # "pass": false, both with exit 0; --bases -1 died in numpy
+    pts = tmp_path / "cloud.csv"
+    np.savetxt(pts, np.stack([np.linspace(-1, 1, 60), np.zeros(60)], axis=1), delimiter=",")
+    out = tmp_path / "r.json"
+    argv = ["tangency", "--points", str(pts), "--k", "1", "--out", str(out)]
+    assert run(argv + flags) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("sigma", [[], ["--sigma"]])
 def test_tangency_nan_cloud_exits_1(sigma, tmp_path, capsys):
     # exited 0 with "reports": [], and with --sigma with "pass": false
@@ -788,25 +807,34 @@ def test_tangency_nan_cloud_exits_1(sigma, tmp_path, capsys):
     assert not out.exists()
 
 
-def test_thread_env_cap(monkeypatch, tmp_path):
-    monkeypatch.setenv("TANGENTIA_THREADS", "1")
+FIELD_ARGV = ["maximal-field", "--function", "tent", "--box", "0,1", "--res", "3"]
+
+
+def test_threads_flag_is_a_usage_error(tmp_path, capsys):
+    # the field points run in order: --threads and TANGENTIA_THREADS are gone
     out = tmp_path / "mf.csv"
-    rc = run(
-        [
-            "maximal-field",
-            "--function",
-            "tent",
-            "--box",
-            "0,1",
-            "--res",
-            "3",
-            "--threads",
-            "8",
-            "--out",
-            str(out),
-        ]
-    )
-    assert rc == 0
+    with pytest.raises(SystemExit) as ei:
+        run(FIELD_ARGV + ["--threads", "2", "--out", str(out)])
+    assert ei.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_threads_key_exits_2(tmp_path, capsys):
+    # the header of an earlier maximal-field artifact carried "threads": 1
+    cfgfile = tmp_path / "c.json"
+    cfgfile.write_text(json.dumps({"threads": 1}))
+    out = tmp_path / "mf.csv"
+    assert run(FIELD_ARGV + ["--config", str(cfgfile), "--out", str(out)]) == 2
+    assert "--config key 'threads': not one of" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_maximal_field_header_has_no_threads(tmp_path):
+    out = tmp_path / "mf.csv"
+    assert run(FIELD_ARGV + ["--out", str(out)]) == 0
+    header = json.loads(out.read_text().splitlines()[0][2:])
+    assert header["command"] == "maximal-field" and "threads" not in header["options"]
 
 
 # ---------------------------------------------------------------------------

@@ -669,11 +669,11 @@ def test_maximal_field_csv(tmp_path):
     assert len(lines) == 6
 
 
-def test_maximal_field_threaded_matches_serial():
-    f = tent()
-    _, v1, _ = maximal_field(f, ([0.5], [2.5]), 7, threads=1)
-    _, v2, _ = maximal_field(f, ([0.5], [2.5]), 7, threads=4)
-    assert np.array_equal(v1, v2)
+@pytest.mark.parametrize("threads", [2, 0, -3])
+def test_maximal_field_refuses_threads_other_than_1(threads):
+    # the points run in order; 0 and -3 ran serially without a word
+    with pytest.raises(ValueError, match=f"threads must be 1: the field points run in order, got {threads}"):
+        maximal_field(tent(), ([0.5], [2.5]), 7, threads=threads)
 
 
 def test_maximal_field_axis_of_one_node_may_have_no_width():

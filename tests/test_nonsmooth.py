@@ -255,6 +255,30 @@ def test_quotient_ladder_shape_and_values():
     assert np.allclose(q, [1.0, 1.0, 1.0])
 
 
+_BAD_RUNGS = "ladder radii must be finite and > 0, at least one"
+
+
+@pytest.mark.parametrize(
+    "ladder", [[0.0], [], [0.1, -0.05], [math.inf], [0.1, math.nan]],
+    ids=["zero", "empty", "negative", "inf", "nan"],
+)
+def test_ladder_not_finite_positive_refused(ladder):
+    # [0] gave [nan] from quotient_ladder and scipy's "Invalid input for
+    # linprog" from tau, [] an IndexError, and a negative rung probed -W
+    f, x = abs_x1_2d(), [0.0, 0.3]
+    with pytest.raises(ValueError, match=_BAD_RUNGS):
+        quotient_ladder(f, x, [1.0, 0.0], ladder)
+    with pytest.raises(ValueError, match=_BAD_RUNGS):
+        tau(f, x, full_space(2), ladder=ladder)
+
+
+@pytest.mark.parametrize("radius", [0.0, -0.05, math.inf, math.nan])
+def test_gamma_budget_radius_not_finite_positive_refused(radius):
+    # GammaBudget(radius=0) made gamma die in scipy's linprog
+    with pytest.raises(ValueError, match=_BAD_RUNGS):
+        GammaBudget(radius=radius)
+
+
 def test_zero_direction_rejected():
     f = abs1d()
     with pytest.raises(ValueError, match="nonzero"):

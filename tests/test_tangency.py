@@ -220,6 +220,13 @@ def test_sigma_too_many_pieces_fails():
     assert pieces == []
 
 
+@pytest.mark.parametrize("pieces", [0, -1])
+def test_sigma_fewer_than_one_piece_refused(pieces):
+    # pieces=0 read "pass": false on one straight line, which passes with 1
+    with pytest.raises(ValueError, match=f"pieces must be >= 1, got {pieces}"):
+        sigma_decompose(axis_points(), 1, pieces=pieces)
+
+
 # ---------------------------------------------------------------------------
 # I/O
 
