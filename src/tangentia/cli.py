@@ -6,6 +6,7 @@ infimal convolution, tangency reports) plus ``verify``, which runs the
 acceptance suites of :mod:`tangentia.verify`.  Runs are reproducible:
 identical argv and seed produce byte-identical artifact bodies, and every
 output carries the fully resolved configuration in a leading comment line.
+The library returns arrays; the CSV artifacts are formatted here alone.
 """
 
 from __future__ import annotations
@@ -91,11 +92,19 @@ def _config_value(key: str, value, action: argparse.Action):
     return value
 
 
-def _prepend_config(path: str, cfg: ExperimentConfig):
-    with open(path, "r", encoding="utf-8") as fh:
-        body = fh.read()
+def _write_csv(path: str, cfg: ExperimentConfig, columns, rows):
+    """Write a CSV artifact once: the config comment line, the column
+    names, then one line per row.  A string cell is written as it is and a
+    number as %.12g, which writes an integer below 1e12 in full and a bool
+    flag as 1 or 0."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# " + cfg.to_json() + "\n" + body)
+        fh.write("# " + cfg.to_json() + "\n" + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(v if isinstance(v, str) else f"{v:.12g}" for v in row) + "\n")
+
+
+def _coordinates(n: int) -> list:
+    return [f"x{i + 1}" for i in range(n)]
 
 
 def _write_json(path: Optional[str], cfg: ExperimentConfig, payload: dict):
@@ -193,8 +202,13 @@ def cmd_maximal_field(cfg: ExperimentConfig) -> int:
     f = funcspace.parse_function_spec(o["function"])
     lo, hi = _parse_box(o["box"], f.dimension, o["res"])
     pts, values, radii = maxop.maximal_field(f, (lo, hi), o["res"], lam=o["lam"], r_max=o["r_max"])
-    maxop.field_to_csv(pts, values, radii, o["out"])
-    _prepend_config(o["out"], cfg)
+    # ragged best-radius sets are padded with empty cells to the widest
+    width = max((len(rs.radii) for rs in radii), default=0)
+    columns = _coordinates(f.dimension) + ["Mf", "r_best_count"]
+    columns += [f"r_best_{j + 1}" for j in range(width)]
+    rows = ([*p, v, len(rs.radii), *rs.radii] + [""] * (width - len(rs.radii))
+            for p, v, rs in zip(pts, values, radii))
+    _write_csv(o["out"], cfg, columns, rows)
     print(f"wrote {pts.shape[0]} rows to {o['out']}")
     return 0
 
@@ -263,8 +277,9 @@ def cmd_singular_set(cfg: ExperimentConfig) -> int:
         tol=o["tol"],
         annotate_gamma=not o["no_gamma"],
     )
-    nonsmooth.scan_to_csv(pts, o["out"], f.dimension)
-    _prepend_config(o["out"], cfg)
+    columns = _coordinates(f.dimension) + ["tau", "gamma", "sf_flag"]
+    rows = ([*p.point, p.tau, p.gamma, p.sf_flag] for p in pts)
+    _write_csv(o["out"], cfg, columns, rows)
     print(f"flagged {len(pts)} grid points -> {o['out']}")
     return 0
 
@@ -273,11 +288,12 @@ def cmd_medial_axis(cfg: ExperimentConfig) -> int:
     o = cfg.options
     A = _load_set(o)
     lo, hi = _parse_box(o["box"], A.dimension, o["res"])
-    pts = specials.medial_scan(A, (lo, hi), o["res"])
-    specials.medial_to_csv(pts, o["out"], A.dimension)
-    _prepend_config(o["out"], cfg)
-    axis = sum(1 for p in pts if p.multiplicity >= 2)
-    print(f"{axis} medial points among {len(pts)} -> {o['out']}")
+    scan = specials.medial_scan(A, (lo, hi), o["res"])
+    columns = _coordinates(A.dimension) + ["dist", "multiplicity"]
+    rows = ([*x, d, m] for x, d, m in zip(scan.points, scan.distance, scan.multiplicity))
+    _write_csv(o["out"], cfg, columns, rows)
+    axis = np.count_nonzero(scan.multiplicity >= 2)
+    print(f"{axis} medial points among {len(scan)} -> {o['out']}")
     return 0
 
 

@@ -218,9 +218,9 @@ def _box_order(lo, hi, counts):
         )
 
 
-def _box_grid(box, resolution, n: int, min_nodes: int):
-    """The (m, n) nodes of the grid on box = (lo, hi), row-major, and its
-    largest cell width.
+def _box_counts(box, resolution, n: int, min_nodes: int):
+    """The corners lo, hi of box = (lo, hi) and its node counts per axis,
+    checked; no node is laid out.
 
     The corners must be finite points of R^n with hi > lo on every axis,
     or hi = lo on an axis of one node (one cell wide).  The resolution
@@ -249,6 +249,13 @@ def _box_grid(box, resolution, n: int, min_nodes: int):
             f"need at least {min_nodes} grid point{plural} per axis, "
             f"got resolution {tuple(counts.tolist())}"
         )
+    return lo, hi, counts
+
+
+def _box_grid(box, resolution, n: int, min_nodes: int):
+    """The (m, n) nodes of the grid on box = (lo, hi), row-major, and its
+    largest cell width; box and resolution as _box_counts checks them."""
+    lo, hi, counts = _box_counts(box, resolution, n, min_nodes)
     axes = [np.linspace(lo[i], hi[i], c) for i, c in enumerate(counts)]
     mesh = np.meshgrid(*axes, indexing="ij")
     cell = float(np.max((hi - lo) / np.maximum(counts - 1, 1)))
@@ -352,7 +359,7 @@ class GridFunction:
     samples: np.ndarray  # flat, row-major
 
     def __post_init__(self):
-        _box_grid((self.lo, self.hi), self.resolution, len(self.resolution), 2)
+        _box_counts((self.lo, self.hi), self.resolution, len(self.resolution), 2)
         expected = int(np.prod(self.resolution))
         if self.samples.size != expected:
             raise ValueError(

@@ -52,7 +52,6 @@ __all__ = [
     "TranslationBoundReport",
     "check_translation_bound",
     "maximal_field",
-    "field_to_csv",
 ]
 
 # audit thresholds calibrated against the translation-bound suite; these are
@@ -374,17 +373,3 @@ def maximal_field(
     values = np.array([v for v, _ in results])
     radii = [rs for _, rs in results]
     return pts, values, radii
-
-
-def field_to_csv(pts, values, radii, path):
-    n = pts.shape[1]
-    cols = [f"x{i + 1}" for i in range(n)] + ["Mf", "r_best_count"]
-    width = max(len(rs.radii) for rs in radii) if radii else 0
-    cols += [f"r_best_{j + 1}" for j in range(width)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p, v, rs in zip(pts, values, radii):
-            row = [f"{c:.12g}" for c in p] + [f"{v:.12g}", str(len(rs.radii))]
-            row += [f"{r:.12g}" for r in rs.radii]
-            row += [""] * (width - len(rs.radii))
-            fh.write(",".join(row) + "\n")

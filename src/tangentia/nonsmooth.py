@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "kink_normals",
     "ScanPoint",
     "singular_scan",
-    "scan_to_csv",
 ]
 
 
@@ -242,6 +241,8 @@ class GammaBudget:
 
     Every residual is tau's value for a ladder whose last rung is
     ``radius``, finite and > 0; the default is DEFAULT_LADDER's last rung.
+    ``candidates_per_dim`` and ``b_per_candidate`` are at least 1;
+    ``directions`` below 2n is raised to 2n in dimension n.
     """
 
     candidates_per_dim: int = 64
@@ -250,6 +251,9 @@ class GammaBudget:
     radius: float = float(DEFAULT_LADDER[-1])
 
     def __post_init__(self):
+        for name in ("candidates_per_dim", "b_per_candidate"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         _radii([self.radius])
 
 
@@ -548,13 +552,3 @@ def singular_scan(
         g = search.degree(pts[i]).degree if annotate_gamma else -1
         out.append(ScanPoint(tuple(pts[i]), float(exact), g, bool(sf[i])))
     return out
-
-
-def scan_to_csv(points: Sequence[ScanPoint], path, dimension: int):
-    cols = [f"x{i + 1}" for i in range(dimension)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols + ["tau", "gamma", "sf_flag"]) + "\n")
-        for p in points:
-            row = [f"{c:.12g}" for c in p.point]
-            row += [f"{p.tau:.12g}", str(p.gamma), "1" if p.sf_flag else "0"]
-            fh.write(",".join(row) + "\n")

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "MedialPoint",
     "MedialScan",
     "medial_scan",
-    "medial_to_csv",
     "inf_convolution",
 ]
 
@@ -243,16 +242,6 @@ def medial_scan(A: ClosedSetModel, box, resolution) -> MedialScan:
     dmins, mult = np.concatenate(dmins), np.concatenate(mult)
     keep = mult > 0  # 0: on the set
     return MedialScan(pts[keep], dmins[keep], mult[keep])
-
-
-def medial_to_csv(points: Iterable[MedialPoint], path, dimension: int):
-    cols = [f"x{i + 1}" for i in range(dimension)] + ["dist", "multiplicity"]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        for p in points:
-            row = [f"{c:.12g}" for c in p.point]
-            row += [f"{p.distance:.12g}", str(p.multiplicity)]
-            fh.write(",".join(row) + "\n")
 
 
 # ---------------------------------------------------------------------------

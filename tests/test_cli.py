@@ -1,12 +1,16 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from tangentia import cli
 from tangentia.cli import ExperimentConfig, run
-from tangentia.funcspace import GridFunction, make_gauss
+from tangentia.funcspace import GridFunction, make_gauss, parse_function_spec
+from tangentia.maxop import maximal_field
+from tangentia.nonsmooth import singular_scan
+from tangentia.specials import ClosedSetModel, medial_scan
 
 
 def read_body(path):
@@ -605,6 +609,62 @@ def test_determinism_byte_identical(tmp_path):
     # the echoed-config comment line carries the output path; the body
     # itself must be byte-identical across runs
     assert read_body(a) == read_body(b)
+
+
+KINK_2D = "maxaffine[(1,0,0),(-1,0,0)]"
+TWO_POINTS = [[-1.0, 0.0], [1.0, 0.0]]
+
+# command: (flags, column names as a regex, the library's row count)
+CSV_RUNS = {
+    "maximal-field": (
+        ["--function", "tent", "--box=-1,1", "--res", "5"],
+        r"x1,Mf,r_best_count(,r_best_\d+)+",  # as many r_best_j as the widest set
+        lambda: len(maximal_field(parse_function_spec("tent"), ([-1.0], [1.0]), 5)[0]),
+    ),
+    "singular-set": (
+        ["--function", KINK_2D, "--box=-1,1", "--res", "17"],
+        r"x1,x2,tau,gamma,sf_flag",
+        lambda: len(singular_scan(parse_function_spec(KINK_2D), ([-1.0] * 2, [1.0] * 2), 17)),
+    ),
+    "medial-axis": (
+        ["--set-points=-1,0;1,0", "--box=-0.5,0.5", "--res", "9"],
+        r"x1,x2,dist,multiplicity",
+        lambda: len(medial_scan(ClosedSetModel.from_points(TWO_POINTS), ([-0.5] * 2, [0.5] * 2), 9)),
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(CSV_RUNS))
+def test_csv_artifact_is_config_then_columns_then_rows(command, tmp_path):
+    flags, columns, row_count = CSV_RUNS[command]
+    out = tmp_path / "a.csv"
+    assert run([command, *flags, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith('# {"command": "' + command + '"')
+    assert re.fullmatch(columns, lines[1])
+    rows = row_count()
+    assert rows > 0
+    assert len(lines) == 2 + rows
+    assert {line.count(",") for line in lines[2:]} == {lines[1].count(",")}
+
+
+@pytest.mark.parametrize("command", list(CSV_RUNS))
+def test_csv_artifact_header_replays_its_body(command, tmp_path):
+    # the header's options, less out, are a --config file that reruns the
+    # artifact; the required flags given here are all overridden
+    flags, _, _ = CSV_RUNS[command]
+    first, again = tmp_path / "first.csv", tmp_path / "again.csv"
+    assert run([command, *flags, "--out", str(first)]) == 0
+    header = json.loads(first.read_text().splitlines()[0][2:])
+    options = dict(header["options"])
+    del options["out"]
+    cfgfile = tmp_path / "replay.json"
+    cfgfile.write_text(json.dumps(options))
+    required = ["--box=0,1"] + (["--function", "abs"] if "function" in options else [])
+    argv = [command, *required, "--out", str(again), "--config", str(cfgfile)]
+    assert run(argv) == 0
+    body = lambda path: path.read_bytes().split(b"\n", 1)[1]  # noqa: E731
+    assert body(again) == body(first)
 
 
 def test_tau_subcommand_subspace_syntax(tmp_path):

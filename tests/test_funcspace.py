@@ -1100,6 +1100,7 @@ def test_grid_non_finite_box_rejected(lo):
     calls = [
         lambda: funcspace._box_grid(box, (3, 3), 2, 1),
         lambda: GridFunction.from_function(f, *box, (3, 3)),
+        lambda: GridFunction(tuple(lo), (1.0, 1.0), (3, 3), np.zeros(9)),
         lambda: nonsmooth.singular_scan(f, box, 5),
         lambda: specials.medial_scan(A, box, 5),
         lambda: specials.inf_convolution(f, coupling, [0.0, 0.0], box, y_resolution=5),
@@ -1113,6 +1114,19 @@ def test_grid_non_finite_box_rejected(lo):
 def test_grid_sample_count_checked():
     with pytest.raises(ValueError):
         GridFunction((0.0,), (1.0,), (4,), np.zeros(5))
+
+
+def test_grid_construction_lays_out_no_nodes():
+    # the box check laid out all 129^3 nodes first: a 98 MiB peak for
+    # 16.4 MiB of samples
+    samples = np.zeros(129**3)
+    tracemalloc.start()
+    try:
+        GridFunction((0.0,) * 3, (1.0,) * 3, (129,) * 3, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * samples.nbytes
 
 
 # ---------------------------------------------------------------------------

@@ -658,17 +658,6 @@ def test_translation_bound_violation_flagged():
 # fields
 
 
-def test_maximal_field_csv(tmp_path):
-    f = tent()
-    pts, vals, radii = maximal_field(f, ([-1.0], [1.0]), 5)
-    assert pts.shape == (5, 1)
-    path = tmp_path / "field.csv"
-    maxop.field_to_csv(pts, vals, radii, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("x1,Mf,r_best_count")
-    assert len(lines) == 6
-
-
 @pytest.mark.parametrize("threads", [2, 0, -3])
 def test_maximal_field_refuses_threads_other_than_1(threads):
     # the points run in order; 0 and -3 ran serially without a word

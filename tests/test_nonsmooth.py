@@ -279,6 +279,17 @@ def test_gamma_budget_radius_not_finite_positive_refused(radius):
         GammaBudget(radius=radius)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("candidates_per_dim", 0), ("candidates_per_dim", -1), ("b_per_candidate", 0)],
+)
+def test_gamma_budget_counts_below_one_refused(name, value):
+    # no candidates read degree 0 where the default budget reads 1, and no
+    # vectors per candidate died in semilinear's bare "need N >= 1"
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+        GammaBudget(**{name: value})
+
+
 def test_zero_direction_rejected():
     f = abs1d()
     with pytest.raises(ValueError, match="nonzero"):
@@ -762,16 +773,6 @@ def test_degree_search_samples_are_keyed_by_subspace_and_size():
             fresh = sample_unit_vectors(W, N, 0)
             assert dirs.tobytes() == fresh.tobytes()
             assert A.tobytes() == (fresh @ W.span_basis()).tobytes()
-
-
-def test_scan_csv_format(tmp_path):
-    f = abs_x1_2d()
-    flags = singular_scan(f, ([-1, -1], [1, 1]), 16, annotate_gamma=False)
-    path = tmp_path / "scan.csv"
-    nonsmooth.scan_to_csv(flags, path, 2)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,tau,gamma,sf_flag"
-    assert len(lines) == len(flags) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -292,16 +292,6 @@ def test_medial_scan_matches_pointwise_rule(A, box, res):
         assert deduped > 0  # the angular dedup decided some points
 
 
-def test_medial_csv(tmp_path):
-    A = ClosedSetModel.from_points([[-1.0, 0.0], [1.0, 0.0]])
-    scan = medial_scan(A, ([-0.5, -0.5], [0.5, 0.5]), 9)
-    path = tmp_path / "med.csv"
-    specials.medial_to_csv(scan, path, 2)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,dist,multiplicity"
-    assert len(lines) == len(scan) + 1
-
-
 # ---------------------------------------------------------------------------
 # infimal convolution
 
