@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import operator
 import sys
 from dataclasses import dataclass, replace
@@ -481,13 +482,23 @@ class QuadratureConfig:
     :class:`_ShellProfile`.  In 3D the profile also derives two coarser
     direction sets of the same family from ``radial_order`` q: the
     half order, 2 (q // 2)^2 directions, on the shells below a switch
-    radius, and the quarter order, 2 (q // 4)^2, that places the switch.
+    radius and on a negligible tail, and the quarter order, 2 (q // 4)^2,
+    that places the switch.
+
+    Each of the four counts must be an integer >= 1 (2.0 is a float); any
+    other value is refused with a ValueError that names the field.
     """
 
     radial_order: int = 32
     angular_order: int = 64
     sphere_nodes_2d: int = 720
     sphere_nodes_3d: int = 2562
+
+    def __post_init__(self):
+        for name in ("radial_order", "angular_order", "sphere_nodes_2d", "sphere_nodes_3d"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
     def ball_rule(self, n: int):
         """Unit-ball nodes (m, n) and weights summing to unit_ball_volume(n)."""
@@ -506,7 +517,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAP_NODES)
 _GL_NODE_LIST = _GL_NODES.tolist()
 _MAX_PIECE = 0.05  # widest annulus piece, relative to its outer radius
 _CHUNK_POINTS = 1 << 15  # shell points per batched evaluation
-_COARSE_TOL = 1e-12  # relative gap of the two coarse 3D direction sums that ends them
+_COARSE_TOL = 1e-12  # 3D: the relative gap of the two coarse direction sums, and a negligible shell
 
 
 @lru_cache(maxsize=32)
@@ -633,38 +644,52 @@ class _ShellProfile:
     overflows).  It refuses a radius beyond :func:`_radius_limit`.
 
     A 3D shell is summed on one of two rules of the ball rule's
-    Gauss-Legendre x azimuth family: below the ``switch`` radius on the
-    half radial order (``coarse``, 512 directions at the default order
-    32), at and beyond it on the full order (2,048).  The table's shells
-    run in ascending radius, and the chunk loop that sums them on the half
-    order also sums the quarter order (``check``, 128 directions): the
-    switch is the first shell where the two coarse sums differ by more
-    than _COARSE_TOL of the half-order sum, or either is not finite, and
-    if none does, the largest tabulated radius, since no shell beyond it
-    was checked (a ``radial_order`` below 8 keeps one rule: there the two
-    coarse rules can both be the same 16 directions).  Two sums of
-    exactly 0.0 agree, so a declared ``zero_outside`` still changes no
-    bit.  Probes and later :meth:`annulus_integrals` calls reuse the
-    switch without checking, so a probe stays the annulus integral of the
+    Gauss-Legendre x azimuth family, the half radial order (``coarse``,
+    512 directions at the default order 32) or the full order (2,048),
+    chosen per segment between the ascending ``bounds``.  The table's
+    shells run in ascending radius and place the bounds as they go.  They
+    start on the half order, and the chunk loop also sums the quarter
+    order (``check``, 128 directions): the ``switch``, the first bound, is
+    the first shell where the two coarse sums differ by more than
+    _COARSE_TOL of the half-order sum, or either is not finite, and the
+    full rule takes the shells from there.  After a full-rule chunk whose
+    every shell is negligible, |S| t^2 at most _COARSE_TOL times the
+    largest |S| t^2 tabulated so far (S the direction sum at shell radius
+    t), a tail starts: its shells are summed on the half order alone, and
+    the first shell above that threshold is handed back to the checked
+    pair, which climbs to the full rule again as before.  If the table
+    ends on the half order, its largest radius is the last bound, since
+    no shell beyond it was judged (a ``radial_order`` below 8 keeps one
+    rule: there the two coarse rules can both be the same 16
+    directions).  Two sums of exactly 0.0 agree and are negligible, so a
+    declared ``zero_outside`` still changes no bit.  Probes and later
+    :meth:`annulus_integrals` calls split their shells at the bounds
+    without judging them, so a probe stays the annulus integral of the
     table's own rules, and the table is bitwise what those calls
-    assemble.  1D and 2D shells use the one rule (in 2D the
-    same ladder on 32 and 16 of the 64 angles changed the evaluations of
-    a ``maxop.maximal`` call by -14 % to +18 % at 12 random points).
+    assemble.  1D and 2D shells use the one rule (in 2D the same ladder
+    on 32 and 16 of the 64 angles changed the evaluations of a
+    ``maxop.maximal`` call by -14 % to +18 % at 12 random points).
 
     Measured: the 512-radius grid of gauss(0.5, 3) at (0.2, 0.2, 0.2)
-    to radius 100 evaluates 2,367,488 points (1,775,616 with its
-    ``zero_outside``), against 4,349,952 (3,758,080) on the full rule
-    alone, and a traced ``field-3d`` pass of perfbench 4,012,034 against
-    7,692,290.  On gauss of widths 0.2-2 the values agree with the full
-    rule to about 1e-15.  Both coarse rules miss a kink until it covers
-    about 8 degrees of a shell: the switch lands at 1.010-1.016 times the
-    distance to the plane of |x1|.  So on |maxaffine| and distance
-    functions a value moves by up to about 5e-8 relative, while the full
-    rule's own error there, against 32,768 directions, is 1e-5 to 5e-5.  A
-    grid function with one nonzero sample, a small hat inside its
-    ``domain``, moved by at most 4.5e-7 against the full rule's own 8.2e-5
-    (against 32,768 directions, with averages up to 0.0138), so functions
-    with a domain take the two rules too.
+    to radius 100 evaluates 1,551,872 points (1,403,904 with its
+    ``zero_outside``), against 2,367,488 (1,775,616) with no tail and
+    4,349,952 (3,758,080) on the full rule alone, and a traced
+    ``field-3d`` pass of perfbench 3,294,722 against 4,012,034 with no
+    tail and 7,692,290 on the full rule.  On gauss of widths 0.2-2 the
+    values agree with the full rule to about 1e-15, and on the
+    ``field-3d`` points the tail changes no bit.  Both coarse rules miss
+    a kink until it covers about 8 degrees of a shell: the switch lands
+    at 1.010-1.016 times the distance to the plane of |x1|.  So on
+    |maxaffine| and distance functions, which never become negligible, a
+    value moves by up to about 5e-8 relative, while the full rule's own
+    error there, against 32,768 directions, is 1e-5 to 5e-5.  A grid
+    function with one nonzero sample, a small hat inside its ``domain``,
+    moved by at most 4.5e-7 against the full rule's own 8.2e-5 (against
+    32,768 directions, with averages up to 0.0138), so functions with a
+    domain take the two rules too.  With a second hat beyond the first,
+    the hand-back keeps the table within 0.01 of that error, where a tail
+    that never hands back moved it by 0.46 of it, and a tail on the 128
+    directions by 4.9 times it.
     """
 
     def __init__(self, f: DirectionalFunction, x, radii, quadrature=DEFAULT_QUADRATURE):
@@ -675,16 +700,20 @@ class _ShellProfile:
                 f"R^{n} overflows beyond a radius of about {limit:.4g}"
             )
         q = quadrature
-        self.dirs_t, self.wdir = _shell_rule(n, q.radial_order, q.angular_order)
-        # 3D: the half- and quarter-order rules, and the switch between
-        # them and the full rule, unknown (None) until the table is built;
-        # below order 8 the two can be the same 16 directions, a vacuous check
-        self.coarse = self.check = None
-        self.switch = 0.0
+        self.dirs_t, self.wdir = full = _shell_rule(n, q.radial_order, q.angular_order)
+        # the rule of each segment between the ascending bounds; in 3D the
+        # half- and quarter-order rules and the bounds are unknown until the
+        # table is built (mode names the test that ends the current segment,
+        # next the mode that starts at the next shell); below order 8 the two
+        # can be the same 16 directions, a vacuous check
+        self.coarse = self.check = self.mode = self.next = None
+        self.bounds, self.rules, self.peak = [], [full], 0.0
         if n == 3 and q.radial_order >= 8:
             self.coarse = _shell_rule(3, q.radial_order // 2, q.angular_order)
             self.check = _shell_rule(3, q.radial_order // 4, q.angular_order)
-            self.switch = None
+            self.rules, self.mode = [self.coarse], "check"
+        # the coordinates of the largest chunk: _CHUNK_POINTS points, or one shell
+        self.buf = np.empty(n * max(_CHUNK_POINTS, len(self.wdir)))
         self.vol = vol = unit_ball_volume(n)
         self.f, self.x, self.n = f, x, n
         self.cuts = sorted(np.abs(np.asarray(f.kinks) - x[0]).tolist()) if f.kinks else None
@@ -708,9 +737,20 @@ class _ShellProfile:
             # pos[0] ** n may underflow to 0, so the first radius is not divided by it
             totals = first * pos[0] ** n + np.cumsum(annuli)
             out[start + 1 :] = totals / (vol * pos[1:] ** n)
-        if self.switch is None:  # no shell disagreed: beyond the table, none was checked
-            self.switch = float(radii[-1]) if len(radii) else 0.0
+        if self.mode is not None:
+            # no shell beyond the table was judged: from its largest radius on,
+            # the full rule (a tail that would start beyond it never does)
+            if self.mode != "full":
+                self.bounds.append(float(radii[-1]) if len(radii) else 0.0)
+                self.rules.append(full)
+            self.mode = self.next = None
         self.radii, self.averages = radii.tolist(), out.tolist()
+
+    @property
+    def switch(self) -> float:
+        """The first bound: where a 3D table first climbs to the full rule
+        (0.0 with one rule)."""
+        return self.bounds[0] if self.bounds else 0.0
 
     def __call__(self, r: float) -> float:
         k = bisect.bisect_right(self.radii, r) - 1
@@ -786,17 +826,19 @@ class _ShellProfile:
         node s[i]; the nodes ascend, _GAP_NODES per piece.  Half the piece
         width is left to the caller.
 
-        A 3D shell below the ``switch`` is summed on the half-order rule,
-        one at or beyond it on the full rule, each by the one chunk loop of
-        :meth:`_shells`.  While the table is built the switch is not yet
-        known: the half-order loop also sums the quarter-order rule, stops
-        at the first shell where the two disagree and sets the switch to
-        its radius, and the full rule takes the shells from there.
+        A 3D shell is summed on the rule of its segment between the
+        ``bounds``, each segment by the one chunk loop of :meth:`_shells`.
+        While the table is built, that loop's test ends the current
+        segment, and the next starts on its rule where the last ended (in
+        the next call if that was this call's end).
 
         The shell points are evaluated _CHUNK_POINTS // m radii at a time,
-        written into one coordinate buffer that the call reuses: one einsum
-        writes every radius times every direction, then x is added.  At 2^15
-        points a 3D chunk is 16 radii x 2,048 directions, 768 KiB of
+        written into the profile's one coordinate buffer, allocated with it
+        and reused by every call: one einsum writes every radius times every
+        direction, then x is added.  A ``field-3d`` pass of perfbench took
+        704 minor page faults, against 832 with a buffer per call of
+        :meth:`_shells` and 1,408 with no tail.  At 2^15 points a 3D
+        chunk is 16 radii x 2,048 directions, 768 KiB of
         coordinates, and stays near a 2 MiB L2 cache with the values and a
         batch evaluator's one-column temporaries.  On a 2-core Xeon with
         2 MiB of L2 per core, the 512-radius grid of 3D gauss at two points
@@ -820,59 +862,82 @@ class _ShellProfile:
         first, last = (0, len(s)) if self.reach is None else scaled.searchsorted(self.reach).tolist()
         shell = np.zeros(len(s))
         start = 0
-        if self.switch is None:  # the table: the check rule places the switch
-            start = self._shells(shell, scaled, 0, len(s), first, last, self.coarse, self.check)
-            if start < len(s):
-                self.switch = float(scaled[start])
-        elif self.coarse is not None:
-            start = int(scaled.searchsorted(self.switch))
-            self._shells(shell, scaled, 0, start, first, last, self.coarse)
-        self._shells(shell, scaled, start, len(s), first, last, (self.dirs_t, self.wdir))
+        if self.mode is None:  # each segment between the bounds on its rule
+            for bound, rule in zip(self.bounds, self.rules):
+                stop = int(scaled.searchsorted(bound))
+                self._shells(shell, scaled, start, stop, first, last, rule)
+                start = stop
+            self._shells(shell, scaled, start, len(s), first, last, self.rules[-1])
+        while self.mode is not None and start < len(s):  # the table: each test places a bound
+            if self.next is not None:
+                self.bounds.append(float(scaled[start]))
+                self.rules.append((self.dirs_t, self.wdir) if self.next == "full" else self.coarse)
+                self.mode, self.next = self.next, None
+            start = self._shells(shell, scaled, start, len(s), first, last, self.rules[-1], self.mode)
         return (s ** (self.n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
 
-    def _shells(self, shell, scaled, start, stop, first, last, rule, check=None) -> int:
+    def _shells(self, shell, scaled, start, stop, first, last, rule, mode=None) -> int:
         """Write the direction sums of f on the rule = (directions,
         weights) into shell[start:stop], chunk by chunk; the shells outside
-        [first, last) keep 0.0.  Returns stop, or, given a check rule, the
-        index of the first shell where its sum disagrees: where the two
-        sums differ by more than _COARSE_TOL of the rule's sum, or either
-        is not finite.  The shells of that chunk before it are written, as
-        a later call with that stop lays them out.  Two sums of exactly
-        0.0 agree, so the shells skipped outside [first, last) agree."""
+        [first, last) keep 0.0.  Returns stop.
+
+        While the table is built, mode names the test that ends the rule's
+        segment (see the class): the index where it ends is returned, and
+        ``next`` set to the mode that starts there.  "check" ends at the
+        first shell where the check rule disagrees and hands on to "full";
+        "full" ends after a chunk whose every shell is negligible against
+        the ``peak``, the largest |S| t^2 written so far, and hands on to
+        "tail"; "tail" ends at the first shell that is not negligible and
+        hands back to "check".  The shells of a cut chunk before its end
+        are written as a later call with that stop lays them out.  The
+        chunks skipped outside [first, last) end no segment: their sums of
+        exactly 0.0 agree and are negligible."""
         dirs_t, wdir = rule
         per_chunk = max(1, _CHUNK_POINTS // len(wdir))
-        buf = np.empty(self.n * min(per_chunk, stop - start) * len(wdir))
         for i in range(start, stop, per_chunk):
             k = min(per_chunk, stop - i)
             lo, hi = max(i, first), min(i + k, last)
             if lo >= hi:  # f is 0.0 on every shell of the chunk
                 continue
-            if check is not None:
+            if mode == "check":
                 # the check first: its evaluation reuses the buffer that the
                 # rows may still view
-                checked = _chunk_sums(self._values(buf, scaled[lo:hi], check[0]), lo - i, k, check[1])
-            rows = self._values(buf, scaled[lo:hi], dirs_t)
+                checked = _chunk_sums(self._values(scaled[lo:hi], self.check[0]), lo - i, k, self.check[1])
+            rows = self._values(scaled[lo:hi], dirs_t)
             sums = _chunk_sums(rows, lo - i, k, wdir)
-            if check is not None:
+            d = i + k
+            if mode is not None:
                 with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
-                    agree = (np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)) & (np.abs(sums) < math.inf)
-                if not agree.all():
-                    d = i + int(np.argmin(agree))
-                    if lo < d:
-                        shell[i:d] = _chunk_sums(rows[: d - lo], lo - i, d - i, wdir)
-                    return d
-            shell[i : i + k] = sums
+                    weight = np.abs(sums) * scaled[i : i + k] ** 2
+                    if mode == "check":
+                        going = (np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)) & (np.abs(sums) < math.inf)
+                    elif mode == "tail":
+                        going = weight <= _COARSE_TOL * self.peak
+                if mode != "full" and not going.all():
+                    d = i + int(np.argmin(going))
+                    self.next = "full" if mode == "check" else "check"
+                # a NaN sum (the table is NaN from there on) raises no peak and is not negligible
+                self.peak = max(self.peak, float(np.max(weight[: d - i], initial=0.0)))
+                if mode == "full" and np.all(weight <= _COARSE_TOL * self.peak):
+                    self.next = "tail"
+            if d < i + k:
+                if lo < d:
+                    shell[i:d] = _chunk_sums(rows[: d - lo], lo - i, d - i, wdir)
+                return d
+            shell[i:d] = sums
+            if self.next is not None:
+                return d
         return stop
 
-    def _values(self, buf, radii, dirs_t) -> np.ndarray:
+    def _values(self, radii, dirs_t) -> np.ndarray:
         """f at x + t u for each t in radii and each direction u, a column
         of dirs_t, as a (radii, directions) array; the coordinates are
-        written into buf."""
+        written into the profile's buffer."""
         n, m = dirs_t.shape
         # coordinate-major (n, radii, m): the transpose of an (n, points)
         # array, so per-coordinate work in a batch evaluator (sums of
         # squares, differences) reads unit strides
-        coords = buf[: n * len(radii) * m].reshape(n, len(radii), m)
+        coords = self.buf[: n * len(radii) * m].reshape(n, len(radii), m)
         np.einsum("k,cm->ckm", radii, dirs_t, out=coords)
         coords += self.x[:, None, None]
         return self.f.evaluate_many(coords.reshape(n, -1).T).reshape(-1, m)

@@ -191,12 +191,13 @@ def test_ball_average_radii_sparse_radii_accurate(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 2_367_488)])
+@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 1_551_872)])
 def test_ball_average_radii_cost_and_chunks(n, evals):
     # the maximal-operator grid: the first ball as 20 pieces of 4 shells
     # from 0, then 4 shells per gap, in batches of at most _CHUNK_POINTS
     # points; in 3D each shell below the switch costs 512 + 128
-    # directions, and each one beyond it 2,048 (all of them: 4,349,952)
+    # directions, each one beyond it 2,048, and each one of the negligible
+    # tail 512 (2,367,488 with no tail; all on 2,048 directions: 4,349,952)
     # (of a gauss that declares no zero radius, so every shell is evaluated)
     f, sizes = _counting(replace(make_gauss(0.5, n), zero_outside=None))
     radii = np.geomspace(1e-3, 100.0, 512)
@@ -205,10 +206,11 @@ def test_ball_average_radii_cost_and_chunks(n, evals):
     assert max(sizes) <= funcspace._CHUNK_POINTS
 
 
-@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 1_775_616)])
+@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 1_403_904)])
 def test_ball_average_radii_cost_with_zero_radius(n, evals):
     # gauss(0.5) declares its zero radius 19.36, so on the same grid the
-    # shells beyond 19.36 + |x| (radii up to 100) are not evaluated
+    # shells beyond 19.36 + |x| (radii up to 100) are not evaluated (in
+    # 3D 1,775,616 with no tail)
     f, sizes = _counting(make_gauss(0.5, n))
     ball_average_radii(f, np.full(n, 0.2), np.geomspace(1e-3, 100.0, 512))
     assert sum(sizes) == evals
@@ -375,10 +377,18 @@ def test_ball_average_of_affine_is_center_value(n, a, c, x, r):
     assert abs(ball_average(f, x, r) - fx) <= tol
 
 
-def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, switch=0.0):
+def _segments(profile, quadrature=DEFAULT_QUADRATURE):
+    """A 3D profile's bounds and the radial order of each segment's rule:
+    the quadrature's own, or the half order."""
+    q = quadrature.radial_order
+    return profile.bounds, [q if w is profile.wdir else q // 2 for _, w in profile.rules]
+
+
+def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, segments=None):
     """_ShellProfile.annulus_integrals with the broadcast coordinate fill:
-    the shells of radius below the switch on the half-order rule, the
-    others on the quadrature's own rule, each run in its own chunks."""
+    the shells between consecutive bounds of segments = (bounds, orders)
+    on the rule of that radial order, each segment run in its own chunks;
+    without segments, every shell on the quadrature's own rule."""
     n = f.dimension
     q, ang = quadrature.radial_order, quadrature.angular_order
     pieces = np.maximum(1, np.ceil((hi - lo) / (funcspace._MAX_PIECE * hi))).astype(int)
@@ -396,8 +406,9 @@ def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, switch=0.0):
     half = 0.5 * (b - a)
     s = ((0.5 * (a + b))[:, None] + half[:, None] * funcspace._GL_NODES).ravel()
     shell = np.empty(len(s))
-    j = int(np.sum(s * scale < switch))
-    for start, stop, order in ((0, j, q // 2), (j, len(s), q)):
+    bounds, orders = segments or ((), (q,))
+    ends = [int(np.sum(s * scale < b)) for b in bounds] + [len(s)]
+    for start, stop, order in zip([0] + ends, ends, orders):
         dirs, wdir = funcspace._ball_directions(n, order, ang)
         m = len(dirs)
         per_chunk = max(1, funcspace._CHUNK_POINTS // m)
@@ -424,15 +435,17 @@ def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, switch=0.0):
     ids=["tent", "tent-scaled", "maxaffine-2d", "gauss-2d", "gauss-3d"],
 )
 def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
-    # in 3D the profile's switch (0.52 here) splits the annuli between
-    # its two rules
+    # in 3D the profile's bounds split the annuli between its two rules:
+    # the switch (0.52 here), the tail from 6.44 and the full rule again
+    # from the largest radius on
     x = np.array(x)
     radii = np.geomspace(1e-3, 20.0, 64)
     lo, hi = radii[:-1], radii[1:]
     profile = funcspace._ShellProfile(f, x, radii)
     assert (f.dimension == 3) == (radii[0] < profile.switch < radii[-1])
+    assert len(profile.bounds) == 3 * (f.dimension == 3)
     got = profile.annulus_integrals(lo, hi, scale)
-    want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale, profile.switch)
+    want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale, _segments(profile))
     assert np.all(got == want)
 
 
@@ -511,12 +524,12 @@ def test_shell_profile_probes_with_its_own_quadrature(n, quadrature, m):
 # 3D: the half-order rule below the switch
 
 
-def _table_reference(f, x, radii, quadrature=DEFAULT_QUADRATURE, switch=0.0):
+def _table_reference(f, x, radii, quadrature=DEFAULT_QUADRATURE, segments=None):
     """_ShellProfile's table on positive radii, from _annulus_reference:
-    with no switch, every shell on the quadrature's own rule."""
+    without segments, every shell on the quadrature's own rule."""
     n, vol = f.dimension, unit_ball_volume(f.dimension)
-    first = _annulus_reference(f, x, np.zeros(1), np.ones(1), quadrature, radii[0], switch)[0]
-    annuli = _annulus_reference(f, x, radii[:-1], radii[1:], quadrature, 1.0, switch)
+    first = _annulus_reference(f, x, np.zeros(1), np.ones(1), quadrature, radii[0], segments)[0]
+    annuli = _annulus_reference(f, x, radii[:-1], radii[1:], quadrature, 1.0, segments)
     totals = first * radii[0] ** n + np.cumsum(annuli)
     return np.concatenate(([first / vol], totals / (vol * radii[1:] ** n)))
 
@@ -621,10 +634,11 @@ def test_3d_low_orders_keep_one_rule(order, m):
 
 
 def test_3d_switch_check_changes_no_bit():
-    # the table, built while the switch is checked, is bitwise the table
-    # assembled from the finished profile's annulus integrals, which reuse
-    # the switch (a matrix-vector product of fewer rows can change a sum's
-    # last bits, and here it would)
+    # the table, built while its bounds are placed (the switch, then a
+    # tail from 7.38), is bitwise the table assembled from the finished
+    # profile's annulus integrals, which reuse the bounds (a
+    # matrix-vector product of fewer rows can change a sum's last bits,
+    # and here it would)
     f = make_gauss(0.5, 3)
     x, radii = np.array([-1.18, 0.39, 1.28]), np.geomspace(1e-3, 20.0, 64)
     profile = funcspace._ShellProfile(f, x, radii)
@@ -634,7 +648,87 @@ def test_3d_switch_check_changes_no_bit():
     totals = first * radii[0] ** 3 + np.cumsum(annuli)
     table = np.concatenate(([first / vol], totals / (vol * radii[1:] ** 3)))
     assert table.tobytes() == profile.table.tobytes()
-    assert profile.table.tobytes() == _table_reference(f, x, radii, switch=profile.switch).tobytes()
+    assert profile.table.tobytes() == _table_reference(f, x, radii, segments=_segments(profile)).tobytes()
+
+
+def _tails(profile):
+    """The bounds where a profile's table enters a negligible tail: the
+    full rule hands on to the half order."""
+    rules = profile.rules
+    return [
+        b for b, before, after in zip(profile.bounds, rules, rules[1:])
+        if before[1] is profile.wdir and after is profile.coarse
+    ]
+
+
+def test_3d_tail_hands_back_to_the_checked_rules():
+    # two hats: the shells about x leave the first at 0.75, where the
+    # table enters its tail (0.99), and meet the second from 1.5 on, where
+    # the tail hands its first shell above the threshold back to the
+    # checked pair, which climbs to the full rule at once (a tail that
+    # never hands back moves the table by 0.46 of the fixed rule's own
+    # error; on the 128 directions, between whose nodes the second hat
+    # lies, by 4.9 times)
+    samples = np.zeros(17**3)
+    for node in ((10, 8, 8), (1, 8, 8)):  # (0.5, 0, 0) and (-1.75, 0, 0)
+        samples[np.ravel_multi_index(node, (17,) * 3)] = 1.0
+    f = absolute(GridFunction((-2.0,) * 3, (2.0,) * 3, (17,) * 3, samples).as_function())
+    x = np.zeros(3)
+    radii = np.geomspace(0.2, 1.95, 48)
+    profile = funcspace._ShellProfile(f, x, radii)
+    (tail,) = _tails(profile)
+    back = profile.bounds[profile.bounds.index(tail) + 1]
+    assert 0.75 < tail < back < 1.55 and profile.rules[-1][1] is profile.wdir
+    fixed = _table_reference(f, x, radii)
+    own = np.max(np.abs(fixed - _table_reference(f, x, radii, QuadratureConfig(radial_order=128))))
+    assert np.max(np.abs(profile.table - fixed)) <= 0.1 * own
+
+
+def test_3d_tail_starts_far_out_on_the_maximal_grid():
+    # |gauss(0.5, 3)| at |x| = 1.22 on the radius grid of maxop.maximal:
+    # the shells beyond about 5.7 add less than 1e-12 of the largest and
+    # are summed on the 512 directions alone; a probe there evaluates 512
+    # directions a shell and is the annulus integral of its one gap
+    from tangentia import maxop
+
+    f, sizes = _counting(absolute(make_gauss(0.5, 3)))
+    x = np.array([1.21, -0.09, -0.097])
+    grid = np.geomspace(maxop._R_MIN_FLOOR, maxop._default_r_max(f, x), maxop._GRID_POINTS)
+    profile = funcspace._ShellProfile(f, x, grid)
+    (tail,) = _tails(profile)
+    assert 4.0 < tail < 8.0 and profile.bounds[-1] == grid[-1]
+    r = 9.9
+    g = grid[np.searchsorted(grid, r) - 1]
+    pieces = math.ceil((r - g) / (funcspace._MAX_PIECE * r))
+    del sizes[:]
+    got = profile(r)
+    assert sum(sizes) == funcspace._GAP_NODES * 512 * pieces
+    assert got == _probe_reference(profile, grid, r)
+
+
+@pytest.mark.parametrize(
+    "f, x",
+    [
+        (make_gauss(0.5), [1.21]),
+        (make_gauss(0.5, 2), [1.21, -0.09]),
+        (absolute(make_maxaffine([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [0.0, 0.0])), [0.05, 0.0, 0.0]),
+    ],
+    ids=["gauss-1d", "gauss-2d", "abs-x1"],
+)
+def test_tail_only_where_f_becomes_negligible(f, x):
+    # 1D and 2D profiles keep their one rule; |x1| grows on every shell,
+    # so its table climbs once and stays on the full rule
+    profile = funcspace._ShellProfile(f, np.array(x), np.geomspace(1e-3, 20.0, 512))
+    assert not _tails(profile)
+    assert len(profile.bounds) == (f.dimension == 3)
+
+
+@pytest.mark.parametrize("value", [0, -3, 1.5])
+@pytest.mark.parametrize("field", ["radial_order", "angular_order", "sphere_nodes_2d", "sphere_nodes_3d"])
+def test_quadrature_config_refuses_orders_below_one_or_fractional(field, value):
+    # 0 and -3 used to give a rule without a word, 1.5 numpy's errors
+    with pytest.raises(ValueError, match=f"^{field} must be an integer >= 1, got {value}$"):
+        QuadratureConfig(**{field: value})
 
 
 @pytest.mark.parametrize("n, r", [(1, 1e308), (2, 1e154), (3, 1e103)])
