@@ -479,11 +479,14 @@ class QuadratureConfig:
 
     No estimator reads the ball rule itself: every ball average
     integrates over its directions on annuli from radius 0, through one
-    :class:`_ShellProfile`.  In 3D the profile also derives two coarser
-    direction sets of the same family from ``radial_order`` q: the
-    half order, 2 (q // 2)^2 directions, on the shells below a switch
-    radius and on a negligible tail, and the quarter order, 2 (q // 4)^2,
-    that places the switch.
+    :class:`_ShellProfile`.  In 3D the profile also derives three coarser
+    direction sets of the same family from ``radial_order`` q, 2 (q // d)^2
+    directions for d = 2, 4 and 8: the quarter order sums the small
+    shells beyond a table's first radius, checked by the eighth and
+    audited by the half order; the half order the first ball, the shells
+    from the quarter order's end to the switch radius and a negligible
+    tail, checked by the quarter (that pair from q = 8 on, the quarter
+    order's rung below it from q = 16 on).
 
     Each of the four counts must be an integer >= 1 (2.0 is a float); any
     other value is refused with a ValueError that names the field.
@@ -517,7 +520,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GAP_NODES)
 _GL_NODE_LIST = _GL_NODES.tolist()
 _MAX_PIECE = 0.05  # widest annulus piece, relative to its outer radius
 _CHUNK_POINTS = 1 << 15  # shell points per batched evaluation
-_COARSE_TOL = 1e-12  # 3D: the relative gap of the two coarse direction sums, and a negligible shell
+_COARSE_TOL = 1e-12  # 3D: the relative gap of a rung's sum and its check or audit, and a negligible shell
 
 
 @lru_cache(maxsize=32)
@@ -643,51 +646,73 @@ class _ShellProfile:
     by 1e-9 (|x| + R) for rounding (None without R or where |x|
     overflows).  It refuses a radius beyond :func:`_radius_limit`.
 
-    A 3D shell is summed on one of two rules of the ball rule's
-    Gauss-Legendre x azimuth family, the half radial order (``coarse``,
-    512 directions at the default order 32) or the full order (2,048),
-    chosen per segment between the ascending ``bounds``.  The table's
-    shells run in ascending radius and place the bounds as they go.  They
-    start on the half order, and the chunk loop also sums the quarter
-    order (``check``, 128 directions): the ``switch``, the first bound, is
-    the first shell where the two coarse sums differ by more than
-    _COARSE_TOL of the half-order sum, or either is not finite, and the
-    full rule takes the shells from there.  After a full-rule chunk whose
-    every shell is negligible, |S| t^2 at most _COARSE_TOL times the
-    largest |S| t^2 tabulated so far (S the direction sum at shell radius
-    t), a tail starts: its shells are summed on the half order alone, and
-    the first shell above that threshold is handed back to the checked
-    pair, which climbs to the full rule again as before.  If the table
-    ends on the half order, its largest radius is the last bound, since
-    no shell beyond it was judged (a ``radial_order`` below 8 keeps one
-    rule: there the two coarse rules can both be the same 16
-    directions).  Two sums of exactly 0.0 agree and are negligible, so a
-    declared ``zero_outside`` still changes no bit.  Probes and later
-    :meth:`annulus_integrals` calls split their shells at the bounds
-    without judging them, so a probe stays the annulus integral of the
-    table's own rules, and the table is bitwise what those calls
-    assemble.  1D and 2D shells use the one rule (in 2D the same ladder
-    on 32 and 16 of the 64 angles changed the evaluations of a
-    ``maxop.maximal`` call by -14 % to +18 % at 12 random points).
+    A 3D shell is summed on one of three rules of the ball rule's
+    Gauss-Legendre x azimuth family, the quarter radial order (128
+    directions at the default order 32), the half order (512) or the
+    full order (2,048), chosen per segment between the ascending
+    ``bounds``.  The table's shells run in ascending radius and place the
+    bounds as they go, up a ladder of checked ``rungs``, (rule, check)
+    pairs: the quarter order checked by the eighth (32 directions), then
+    the half order checked by the quarter.  The first ball, from 0 to
+    the first radius, starts on the last rung, where a table of one
+    radius (``ball_average``) starts too, so its average (the grid's
+    smallest ball in ``maxop.maximal``, which decides whether radius 0
+    wins) keeps that rung's rules; if the rung holds through it, the
+    annuli start on the first rung at the first radius.  On a rung the
+    chunk loop also sums each shell on its check, and below the last
+    rung the first Gauss-Legendre node of each radial piece (one shell
+    in 4) on the next rung's rule, the audit; the rung ends at the first
+    shell where the check, or the audit, differs by more than _COARSE_TOL
+    of the rung's sum, or the rung's sum is not finite, and the next rung
+    takes the shells from there; after the last, the full rule, from the
+    ``switch``.  After a full-rule chunk whose every shell is negligible,
+    |S| t^2 at most _COARSE_TOL times the largest |S| t^2 tabulated so
+    far (S the direction sum at shell radius t), a tail starts: its
+    shells are summed on the half order alone, and the first shell above
+    that threshold is handed back to the last rung, which climbs to the
+    full rule again as before (never to the first rung).  If the table
+    ends below the full rule, its largest radius is the last bound, since
+    no shell beyond it was judged.  A rung exists where its check's order
+    is at least 2: below, its rule and its check can be the same 16
+    directions, so order 8 keeps the half order alone and an order below
+    8 the full rule alone.  Two sums of exactly 0.0 agree and are
+    negligible, so a declared ``zero_outside`` still changes no bit.
+    Probes and later :meth:`annulus_integrals` calls split their shells
+    at the bounds without judging them, so a probe stays the annulus
+    integral of the table's own rules, and the table is bitwise what
+    those calls assemble.  1D and 2D shells use the one rule (in 2D the
+    same ladder on 32 and 16 of the 64 angles changed the evaluations of
+    a ``maxop.maximal`` call by -14 % to +18 % at 12 random points).
 
     Measured: the 512-radius grid of gauss(0.5, 3) at (0.2, 0.2, 0.2)
-    to radius 100 evaluates 1,551,872 points (1,403,904 with its
-    ``zero_outside``), against 2,367,488 (1,775,616) with no tail and
-    4,349,952 (3,758,080) on the full rule alone, and a traced
-    ``field-3d`` pass of perfbench 3,294,722 against 4,012,034 with no
-    tail and 7,692,290 on the full rule.  On gauss of widths 0.2-2 the
-    values agree with the full rule to about 1e-15, and on the
-    ``field-3d`` points the tail changes no bit.  Both coarse rules miss
-    a kink until it covers about 8 degrees of a shell: the switch lands
-    at 1.010-1.016 times the distance to the plane of |x1|.  So on
-    |maxaffine| and distance functions, which never become negligible, a
-    value moves by up to about 5e-8 relative, while the full rule's own
-    error there, against 32,768 directions, is 1e-5 to 5e-5.  A grid
-    function with one nonzero sample, a small hat inside its ``domain``,
-    moved by at most 4.5e-7 against the full rule's own 8.2e-5 (against
-    32,768 directions, with averages up to 0.0138), so functions with a
-    domain take the two rules too.  With a second hat beyond the first,
-    the hand-back keeps the table within 0.01 of that error, where a tail
+    to radius 100 evaluates 1,232,384 points (1,084,416 with its
+    ``zero_outside``), against 1,551,872 (1,403,904) with no first rung,
+    2,367,488 (1,775,616) with no tail either and 4,349,952 (3,758,080)
+    on the full rule alone, and a traced ``field-3d`` pass of perfbench
+    2,746,882 against 3,294,722 with no first rung, 4,012,034 with no
+    tail and 7,692,290 on the full rule (2,690,562 with the first ball
+    on the first rung too, which moved the grid's smallest average by
+    1-2 ulp).  On gauss of widths 0.2-2 the values agree with the full
+    rule to about 1e-15, and on the ``field-3d`` points the first rung
+    and the tail change no output bit.  The coarse rules miss a kink
+    until it covers about 8 degrees of a shell: the switch lands at
+    1.010-1.016 times the distance to the plane of |x1|.  So on
+    |maxaffine| and distance functions, which never become negligible,
+    a value moves by up to about 2e-7 relative (5e-8 with no first
+    rung), while the full rule's own error there, against 32,768
+    directions, is 1e-5 to 5e-5.  Where the first rung fails at its
+    first shell, its first chunk is evaluated and dropped: ``maxop.maximal``
+    of the distance to 3 points, 0.01 from one, evaluated 1.8 % more
+    than with no first rung, and 11-16 % less at 16 random points of
+    |maxaffine| and distance functions.  A grid function with one
+    nonzero sample, a small hat inside its ``domain``, moved by at most
+    1.5e-6 against the full rule's own 8.2e-5 (against 32,768
+    directions, with averages up to 0.0138), so functions with a domain
+    take the ladder too.  On a smooth background the hat first meets the
+    shells between the nodes of both the 128 and the 32 directions,
+    which agree there: without the audit the table moved by 0.12 of that
+    error, with it by 0.0028.  With a second hat beyond the first, the
+    hand-back keeps the table within 0.01 of that error, where a tail
     that never hands back moved it by 0.46 of it, and a tail on the 128
     directions by 4.9 times it.
     """
@@ -701,17 +726,24 @@ class _ShellProfile:
             )
         q = quadrature
         self.dirs_t, self.wdir = full = _shell_rule(n, q.radial_order, q.angular_order)
-        # the rule of each segment between the ascending bounds; in 3D the
-        # half- and quarter-order rules and the bounds are unknown until the
-        # table is built (mode names the test that ends the current segment,
-        # next the mode that starts at the next shell); below order 8 the two
-        # can be the same 16 directions, a vacuous check
-        self.coarse = self.check = self.mode = self.next = None
-        self.bounds, self.rules, self.peak = [], [full], 0.0
-        if n == 3 and q.radial_order >= 8:
-            self.coarse = _shell_rule(3, q.radial_order // 2, q.angular_order)
-            self.check = _shell_rule(3, q.radial_order // 4, q.angular_order)
-            self.rules, self.mode = [self.coarse], "check"
+        # the checked rungs of the 3D ladder, coarsest first: (rule, check)
+        # on the orders q // 2d and q // 4d, wherever the check's order is
+        # at least 2; the rule of each segment between the ascending bounds,
+        # which are unknown until the table is built (mode names the test
+        # that ends the current segment, rung its rung, next the mode that
+        # starts at the next shell); the first ball starts on the last rung
+        self.rungs = []
+        if n == 3:
+            self.rungs = [
+                (_shell_rule(3, q.radial_order // d, q.angular_order),
+                 _shell_rule(3, q.radial_order // (2 * d), q.angular_order))
+                for d in (4, 2) if q.radial_order >= 4 * d
+            ]
+        self.mode = self.next = None
+        self.rung, self.bounds, self.rules, self.peak = 0, [], [full], 0.0
+        if self.rungs:
+            self.rung = len(self.rungs) - 1
+            self.rules, self.mode = [self.rungs[-1][0]], "check"
         # the coordinates of the largest chunk: _CHUNK_POINTS points, or one shell
         self.buf = np.empty(n * max(_CHUNK_POINTS, len(self.wdir)))
         self.vol = vol = unit_ball_volume(n)
@@ -732,6 +764,12 @@ class _ShellProfile:
             # the unit annulus from 0 scaled by pos[0] (a subnormal radius
             # loses nothing), then one annulus per later radius
             first = self.annulus_integrals(np.zeros(1), np.ones(1), pos[0])[0]
+            if len(pos) > 1 and self.rung and not self.bounds:
+                # the first ball stayed on the last rung: the annuli start
+                # on the first
+                self.bounds.append(float(pos[0]))
+                self.rules.append(self.rungs[0][0])
+                self.rung = 0
             annuli = self.annulus_integrals(pos[:-1], pos[1:])
             out[start] = first / vol  # exactly ball_average's value
             # pos[0] ** n may underflow to 0, so the first radius is not divided by it
@@ -748,9 +786,9 @@ class _ShellProfile:
 
     @property
     def switch(self) -> float:
-        """The first bound: where a 3D table first climbs to the full rule
-        (0.0 with one rule)."""
-        return self.bounds[0] if self.bounds else 0.0
+        """The bound where a 3D table first climbs to the full rule (0.0
+        with one rule)."""
+        return next((b for b, (_, w) in zip(self.bounds, self.rules[1:]) if w is self.wdir), 0.0)
 
     def __call__(self, r: float) -> float:
         k = bisect.bisect_right(self.radii, r) - 1
@@ -830,7 +868,11 @@ class _ShellProfile:
         ``bounds``, each segment by the one chunk loop of :meth:`_shells`.
         While the table is built, that loop's test ends the current
         segment, and the next starts on its rule where the last ended (in
-        the next call if that was this call's end).
+        the next call if that was this call's end).  On a rung the loop
+        also evaluates each chunk on the rung's check and, below the last
+        rung, the chunk's audited shells on the next rung's rule, through
+        this loop again in chunks of that rule's own size, so no
+        evaluation outgrows the buffer.
 
         The shell points are evaluated _CHUNK_POINTS // m radii at a time,
         written into the profile's one coordinate buffer, allocated with it
@@ -871,8 +913,8 @@ class _ShellProfile:
         while self.mode is not None and start < len(s):  # the table: each test places a bound
             if self.next is not None:
                 self.bounds.append(float(scaled[start]))
-                self.rules.append((self.dirs_t, self.wdir) if self.next == "full" else self.coarse)
                 self.mode, self.next = self.next, None
+                self.rules.append((self.dirs_t, self.wdir) if self.mode == "full" else self.rungs[self.rung][0])
             start = self._shells(shell, scaled, start, len(s), first, last, self.rules[-1], self.mode)
         return (s ** (self.n - 1) * shell).reshape(-1, _GAP_NODES) @ _GL_WEIGHTS
 
@@ -884,14 +926,16 @@ class _ShellProfile:
         While the table is built, mode names the test that ends the rule's
         segment (see the class): the index where it ends is returned, and
         ``next`` set to the mode that starts there.  "check" ends at the
-        first shell where the check rule disagrees and hands on to "full";
-        "full" ends after a chunk whose every shell is negligible against
-        the ``peak``, the largest |S| t^2 written so far, and hands on to
-        "tail"; "tail" ends at the first shell that is not negligible and
-        hands back to "check".  The shells of a cut chunk before its end
-        are written as a later call with that stop lays them out.  The
-        chunks skipped outside [first, last) end no segment: their sums of
-        exactly 0.0 agree and are negligible."""
+        first shell where the rung's check disagrees, or below the last
+        rung its audit, and hands on to the next rung or, after the last,
+        to "full"; "full" ends after a chunk whose every shell is
+        negligible against the ``peak``, the largest |S| t^2 written so
+        far, and hands on to "tail"; "tail" ends at the first shell that
+        is not negligible and hands back to "check" on the last rung.  The
+        shells of a cut chunk before its end are written as a later call
+        with that stop lays them out.  The chunks skipped outside [first,
+        last) end no segment: their sums of exactly 0.0 agree and are
+        negligible."""
         dirs_t, wdir = rule
         per_chunk = max(1, _CHUNK_POINTS // len(wdir))
         for i in range(start, stop, per_chunk):
@@ -900,9 +944,14 @@ class _ShellProfile:
             if lo >= hi:  # f is 0.0 on every shell of the chunk
                 continue
             if mode == "check":
-                # the check first: its evaluation reuses the buffer that the
-                # rows may still view
-                checked = _chunk_sums(self._values(scaled[lo:hi], self.check[0]), lo - i, k, self.check[1])
+                # the check and the audit first: their evaluations reuse the
+                # buffer that the rows may still view
+                (check_t, check_w), above = self.rungs[self.rung][1], self.rungs[self.rung + 1 :]
+                checked = _chunk_sums(self._values(scaled[lo:hi], check_t), lo - i, k, check_w)
+                if above:  # the audit: the first node of each piece on the next rung's rule
+                    at = np.arange(lo + (-lo) % _GAP_NODES, hi, _GAP_NODES) - i
+                    audited = np.zeros(len(at))
+                    self._shells(audited, scaled[i + at], 0, len(at), 0, len(at), above[0][0])
             rows = self._values(scaled[lo:hi], dirs_t)
             sums = _chunk_sums(rows, lo - i, k, wdir)
             d = i + k
@@ -911,11 +960,18 @@ class _ShellProfile:
                     weight = np.abs(sums) * scaled[i : i + k] ** 2
                     if mode == "check":
                         going = (np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)) & (np.abs(sums) < math.inf)
+                        if above:
+                            going[at] &= np.abs(sums[at] - audited) <= _COARSE_TOL * np.abs(sums[at])
                     elif mode == "tail":
                         going = weight <= _COARSE_TOL * self.peak
                 if mode != "full" and not going.all():
                     d = i + int(np.argmin(going))
-                    self.next = "full" if mode == "check" else "check"
+                    if mode == "tail":
+                        self.next = "check"
+                    elif above:
+                        self.next, self.rung = "check", self.rung + 1
+                    else:
+                        self.next = "full"
                 # a NaN sum (the table is NaN from there on) raises no peak and is not negligible
                 self.peak = max(self.peak, float(np.max(weight[: d - i], initial=0.0)))
                 if mode == "full" and np.all(weight <= _COARSE_TOL * self.peak):

@@ -191,13 +191,16 @@ def test_ball_average_radii_sparse_radii_accurate(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 1_551_872)])
+@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 1_232_384)])
 def test_ball_average_radii_cost_and_chunks(n, evals):
     # the maximal-operator grid: the first ball as 20 pieces of 4 shells
     # from 0, then 4 shells per gap, in batches of at most _CHUNK_POINTS
-    # points; in 3D each shell below the switch costs 512 + 128
-    # directions, each one beyond it 2,048, and each one of the negligible
-    # tail 512 (2,367,488 with no tail; all on 2,048 directions: 4,349,952)
+    # points; in 3D each shell of the first ball and of the second rung
+    # costs 512 + 128 directions, each one of the first rung 128 + 32 and
+    # one in 4 another 512 (the audit), each one beyond the switch 2,048,
+    # and each one of the negligible tail 512 (1,204,224 with the first
+    # ball on the first rung; 1,551,872 with no first rung; 2,367,488
+    # with no tail either; all on 2,048 directions: 4,349,952)
     # (of a gauss that declares no zero radius, so every shell is evaluated)
     f, sizes = _counting(replace(make_gauss(0.5, n), zero_outside=None))
     radii = np.geomspace(1e-3, 100.0, 512)
@@ -206,11 +209,12 @@ def test_ball_average_radii_cost_and_chunks(n, evals):
     assert max(sizes) <= funcspace._CHUNK_POINTS
 
 
-@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 1_403_904)])
+@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 1_084_416)])
 def test_ball_average_radii_cost_with_zero_radius(n, evals):
     # gauss(0.5) declares its zero radius 19.36, so on the same grid the
     # shells beyond 19.36 + |x| (radii up to 100) are not evaluated (in
-    # 3D 1,775,616 with no tail)
+    # 3D 1,056,256 with the first ball on the first rung, 1,403,904 with
+    # no first rung and 1,775,616 with no tail either)
     f, sizes = _counting(make_gauss(0.5, n))
     ball_average_radii(f, np.full(n, 0.2), np.geomspace(1e-3, 100.0, 512))
     assert sum(sizes) == evals
@@ -223,8 +227,13 @@ def test_ball_average_radii_chunking_does_not_change_values(monkeypatch):
     radii = np.geomspace(1e-3, 20.0, 64)
     whole = ball_average_radii(f, x, radii)
     monkeypatch.setattr(funcspace, "_CHUNK_POINTS", 3000)
-    chunked = ball_average_radii(f, x, radii)
+    counted, sizes = _counting(f)
+    chunked = ball_average_radii(counted, x, radii)
     assert np.allclose(chunked, whole, rtol=1e-14, atol=0.0)
+    # a chunk of the 128-direction rung is 23 shells here, whose 6 audited
+    # shells on 512 directions would be 3,072 points: the audit runs in
+    # chunks of its own, so no evaluation outgrows the buffer
+    assert max(sizes) <= 3000
 
 
 def test_ball_average_radii_checks_every_chunk():
@@ -379,9 +388,9 @@ def test_ball_average_of_affine_is_center_value(n, a, c, x, r):
 
 def _segments(profile, quadrature=DEFAULT_QUADRATURE):
     """A 3D profile's bounds and the radial order of each segment's rule:
-    the quadrature's own, or the half order."""
-    q = quadrature.radial_order
-    return profile.bounds, [q if w is profile.wdir else q // 2 for _, w in profile.rules]
+    the quadrature's own, the half order or the quarter order."""
+    q, rungs = quadrature.radial_order, [rule[1] for rule, _ in profile.rungs]
+    return profile.bounds, [q if w is profile.wdir else q // 2 if w is rungs[-1] else q // 4 for _, w in profile.rules]
 
 
 def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, segments=None):
@@ -435,15 +444,16 @@ def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, segments=None):
     ids=["tent", "tent-scaled", "maxaffine-2d", "gauss-2d", "gauss-3d"],
 )
 def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
-    # in 3D the profile's bounds split the annuli between its two rules:
-    # the switch (0.52 here), the tail from 6.44 and the full rule again
-    # from the largest radius on
+    # in 3D the profile's bounds split the annuli between its three rules:
+    # the first radius (the first ball on the second rung, then the first
+    # rung), the first rung's end (0.048 here), the switch (0.52), the
+    # tail from 6.44 and the full rule again from the largest radius on
     x = np.array(x)
     radii = np.geomspace(1e-3, 20.0, 64)
     lo, hi = radii[:-1], radii[1:]
     profile = funcspace._ShellProfile(f, x, radii)
     assert (f.dimension == 3) == (radii[0] < profile.switch < radii[-1])
-    assert len(profile.bounds) == 3 * (f.dimension == 3)
+    assert len(profile.bounds) == 5 * (f.dimension == 3)
     got = profile.annulus_integrals(lo, hi, scale)
     want = _annulus_reference(f, x, lo, hi, DEFAULT_QUADRATURE, scale, _segments(profile))
     assert np.all(got == want)
@@ -467,7 +477,7 @@ def _probe_reference(profile, radii, r):
         (funcspace.make_tent(), [0.3], [0.1, 0.2, 0.5, 1.0, 2.0], [0.45, 0.21, 0.8, 1.7]),
         (make_maxaffine([[1.0], [-0.5], [0.25]], [0.0, 0.3, -0.2]), [-0.37], [0.05, 0.6, 2.0], [0.3, 1.1, 1.95]),
         (make_gauss(0.5, 2), [0.7, 0.4], np.geomspace(1e-2, 4.0, 32), [0.0101, 0.5, 3.9]),
-        (make_gauss(0.5, 3), [1.3, 0.2, -0.1], [0.1, 1.0, 3.0], [0.105, 2.47]),
+        (make_gauss(0.5, 3), [1.3, 0.2, -0.1], [0.02, 0.2, 1.0, 3.0], [0.021, 0.21, 2.47]),
     ],
     ids=["gauss-1d", "tent", "maxaffine-1d", "gauss-2d", "gauss-3d"],
 )
@@ -478,8 +488,10 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
     # (f without its zero radius, so every shell of a probe is evaluated)
     f, sizes = _counting(absolute(replace(f, zero_outside=None)))
     x, radii = np.array(x), np.array(radii, dtype=float)
-    # (in 3D, the gap (0.1, 0.105) lies below the switch, 0.53, and
-    # evaluates 512 directions a shell; (1, 2.47) lies beyond it: 2,048)
+    # (in 3D, the gap (0.02, 0.021) lies on the first rung, from the first
+    # radius to 0.049, and evaluates 128 directions a shell; (0.2, 0.21)
+    # on the second, below the switch, 0.53: 512; (1, 2.47) beyond it:
+    # 2,048)
     profile = funcspace._ShellProfile(f, x, radii)
     assert profile.table.tobytes() == ball_average_radii(f, x, radii).tobytes()
     cuts = np.abs(np.array(f.kinks) - x[0]) if f.kinks else np.zeros(0)
@@ -489,8 +501,9 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
         pieces = max(1, math.ceil((r - g) / (funcspace._MAX_PIECE * r)))
         pieces += int(np.sum((cuts > g) & (cuts < r)))
         many += pieces > 1
-        assert (g < profile.switch) == (r < profile.switch)
-        m = len(profile.coarse[1] if r < profile.switch else profile.wdir)
+        segment = int(np.searchsorted(profile.bounds, r, side="right"))
+        assert np.searchsorted(profile.bounds, g, side="right") == segment
+        m = len(profile.rules[segment][1])
         del sizes[:]
         got = profile(r)
         assert sum(sizes) == funcspace._GAP_NODES * m * pieces
@@ -547,7 +560,8 @@ def _fixed_probe(f, x, radii, table, r):
 def _3d_cases(draw):
     """gauss of width 0.2-2, |a 3-5-piece max-affine| (what the radius
     search averages) or the distance to 3 points; x in [-2, 2]^3; 32
-    radii from 0.05 to 8, and 4 probes."""
+    radii from 1e-3, the floor of the radius search, to 8, and 4
+    probes."""
     from tangentia.specials import ClosedSetModel, distance_function
 
     kind = draw(st.sampled_from(["gauss", "maxaffine", "dist"]))
@@ -561,8 +575,8 @@ def _3d_cases(draw):
         f = absolute(make_maxaffine(rows[:, :3], rows[:, 3]))
     else:
         f = distance_function(ClosedSetModel.from_points(draw(st.lists(point, min_size=3, max_size=3))))
-    radii = np.geomspace(0.05, 8.0, 32)
-    probes = draw(st.lists(st.floats(0.05, 8.0), min_size=4, max_size=4))
+    radii = np.geomspace(1e-3, 8.0, 32)
+    probes = draw(st.lists(st.floats(1e-3, 8.0), min_size=4, max_size=4))
     return kind, f, np.array(draw(point)), radii, probes
 
 
@@ -570,11 +584,12 @@ def _3d_cases(draw):
 @given(_3d_cases())
 def test_3d_switch_keeps_the_fixed_rule_values(case):
     # every table value and probe against the fixed 2,048-direction rule:
-    # within 1e-12 on gauss; on the kinked functions, where both coarse
+    # within 1e-12 on gauss; on the kinked functions, where the coarse
     # rules miss a kink until it covers about 8 degrees of a shell, within
     # 1e-12 plus the fixed rule's own worst error on the table (measured
     # against the 8,192-direction rule: about 1e-5 of the average, while
-    # the half-order rule lost at most 5e-8)
+    # the coarse rules lost at most 2e-7); the radii start at the floor of
+    # the radius search, so the tables run through the 128-direction rung
     kind, f, x, radii, probes = case
     profile = funcspace._ShellProfile(f, x, radii)
     fixed = _table_reference(f, x, radii)
@@ -603,7 +618,7 @@ def test_3d_grid_function_loses_less_than_the_fixed_rule_error():
     # shells first meet the hat in a small cap, which the coarse rules can
     # miss; against the 32,768-direction rule the fixed rule's own worst
     # error on the table is 8.2e-5 (of averages up to 0.0138), and the
-    # half-order rule moves the values by at most 4.5e-7, 0.5 % of it
+    # coarse rules move the values by at most 1.5e-6, 1.8 % of it
     samples = np.zeros(9**3)
     samples[np.ravel_multi_index((6, 4, 4), (9, 9, 9))] = 1.0  # at (0.5, 0, 0)
     f = absolute(GridFunction((-1.0,) * 3, (1.0,) * 3, (9,) * 3, samples).as_function())
@@ -616,20 +631,52 @@ def test_3d_grid_function_loses_less_than_the_fixed_rule_error():
     assert np.max(np.abs(profile.table - fixed)) <= 0.1 * own
 
 
-@pytest.mark.parametrize("order, m", [(5, 50), (8, 128)])
+def test_3d_audit_keeps_a_small_hat_on_a_smooth_background():
+    # the one-hat grid function plus 0.01 gauss(2): the hat first meets
+    # the shells in a small cap between the nodes of both the 128 and the
+    # 32 directions, which agree there on the smooth background; the
+    # audit of each piece's first node on the 512 directions ends the
+    # first rung there (ratio 0.0028 of the fixed rule's own error; 0.123
+    # without the audit, measured on a copy without it)
+    samples = np.zeros(9**3)
+    samples[np.ravel_multi_index((6, 4, 4), (9, 9, 9))] = 1.0  # at (0.5, 0, 0)
+    hat = absolute(GridFunction((-1.0,) * 3, (1.0,) * 3, (9,) * 3, samples).as_function())
+    g = make_gauss(2.0, 3)
+    f = DirectionalFunction(
+        evaluator=lambda y: hat(y) + 0.01 * g(y),
+        dimension=3,
+        batch_evaluator=lambda p: hat.evaluate_many(p) + 0.01 * g.evaluate_many(p),
+    )
+    x = np.zeros(3)
+    radii = np.geomspace(1e-3, 0.98, 128)
+    profile = funcspace._ShellProfile(f, x, radii)
+    # the first ball on the second rung's 512 directions, as a lone ball
+    # average sums it; the first rung from the first radius on
+    assert profile.bounds[:1] == [radii[0]]
+    assert profile.table[0] == _table_reference(f, x, radii[:1], segments=((), (16,)))[0]
+    assert profile.bounds[1] < 0.26  # the first rung ends where the shells reach the hat
+    fixed = _table_reference(f, x, radii)
+    own = np.max(np.abs(fixed - _table_reference(f, x, radii, QuadratureConfig(radial_order=128))))
+    assert np.max(np.abs(profile.table - fixed)) <= 0.1 * own
+
+
+@pytest.mark.parametrize("order, m", [(5, 50), (8, 128), (16, 512)])
 def test_3d_low_orders_keep_one_rule(order, m):
     # at radial_order 5 the half- and quarter-order rules are both the same
     # 16 directions, so a check would pass every shell: the profile keeps
-    # the full rule; from order 8 on the two differ (32 and 16 directions)
+    # the full rule; from order 8 on the two differ (32 and 16 directions),
+    # and from order 16 on the rung below them, the quarter order checked
+    # by the eighth (at order 8 both would be 16 directions)
     quadrature = QuadratureConfig(radial_order=order)
     f, sizes = _counting(make_gauss(0.5, 3))
     profile = funcspace._ShellProfile(f, np.full(3, 0.2), np.array([0.1, 1.0, 2.0]), quadrature)
     assert len(profile.wdir) == m
-    if order < 8:
-        assert profile.coarse is None and profile.switch == 0.0
+    rungs = {5: [], 8: [(32, 16)], 16: [(32, 16), (128, 32)]}[order]
+    assert [(len(rule[1]), len(check[1])) for rule, check in profile.rungs] == rungs
+    if not rungs:
+        assert profile.switch == 0.0
         assert all(k % m == 0 for k in sizes)
     else:
-        assert len(profile.coarse[1]) == 32 and len(profile.check[1]) == 16
         assert 0.0 < profile.switch < 2.0
 
 
@@ -653,11 +700,11 @@ def test_3d_switch_check_changes_no_bit():
 
 def _tails(profile):
     """The bounds where a profile's table enters a negligible tail: the
-    full rule hands on to the half order."""
+    full rule hands on to the half order, the rule of the last rung."""
     rules = profile.rules
     return [
         b for b, before, after in zip(profile.bounds, rules, rules[1:])
-        if before[1] is profile.wdir and after is profile.coarse
+        if before[1] is profile.wdir and after is profile.rungs[-1][0]
     ]
 
 
@@ -717,10 +764,13 @@ def test_3d_tail_starts_far_out_on_the_maximal_grid():
 )
 def test_tail_only_where_f_becomes_negligible(f, x):
     # 1D and 2D profiles keep their one rule; |x1| grows on every shell,
-    # so its table climbs once and stays on the full rule
+    # so its table, after the first ball on the second rung, climbs its two
+    # rungs once (both at the shell where the kink comes in reach) and
+    # stays on the full rule
     profile = funcspace._ShellProfile(f, np.array(x), np.geomspace(1e-3, 20.0, 512))
     assert not _tails(profile)
-    assert len(profile.bounds) == (f.dimension == 3)
+    assert len(profile.bounds) == 3 * (f.dimension == 3)
+    assert profile.rules[-1][1] is profile.wdir
 
 
 @pytest.mark.parametrize("value", [0, -3, 1.5])
