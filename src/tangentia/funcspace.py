@@ -481,12 +481,12 @@ class QuadratureConfig:
     integrates over its directions on annuli from radius 0, through one
     :class:`_ShellProfile`.  In 3D the profile also derives three coarser
     direction sets of the same family from ``radial_order`` q, 2 (q // d)^2
-    directions for d = 2, 4 and 8: the quarter order sums the small
-    shells beyond a table's first radius, checked by the eighth and
-    audited by the half order; the half order the first ball, the shells
-    from the quarter order's end to the switch radius and a negligible
-    tail, checked by the quarter (that pair from q = 8 on, the quarter
-    order's rung below it from q = 16 on).
+    directions for d = 2, 4 and 8: the quarter order sums a table's small
+    shells from 0, checked by the eighth and audited by the half order;
+    the half order the shells from the quarter order's end to the switch
+    radius, first checked by the quarter, then audited by the full order,
+    and a negligible tail (that pair from q = 8 on, the quarter order's
+    rung below it from q = 16 on).
 
     Each of the four counts must be an integer >= 1 (2.0 is a float); any
     other value is refused with a ValueError that names the field.
@@ -650,30 +650,28 @@ class _ShellProfile:
     Gauss-Legendre x azimuth family, the quarter radial order (128
     directions at the default order 32), the half order (512) or the
     full order (2,048), chosen per segment between the ascending
-    ``bounds``.  The table's shells run in ascending radius and place the
-    bounds as they go, up a ladder of checked ``rungs``, (rule, check)
-    pairs: the quarter order checked by the eighth (32 directions), then
-    the half order checked by the quarter.  The first ball, from 0 to
-    the first radius, starts on the last rung, where a table of one
-    radius (``ball_average``) starts too, so its average (the grid's
-    smallest ball in ``maxop.maximal``, which decides whether radius 0
-    wins) keeps that rung's rules; if the rung holds through it, the
-    annuli start on the first rung at the first radius.  On a rung the
-    chunk loop also sums each shell on its check, and below the last
+    ``bounds``.  The table's shells run in ascending radius from 0 and
+    place the bounds as they go, up a ladder of checked ``rungs``, (rule,
+    check) pairs: the quarter order checked by the eighth (32
+    directions), then the half order checked by the quarter.  On a rung
+    the chunk loop also sums each shell on its check, and below the last
     rung the first Gauss-Legendre node of each radial piece (one shell
     in 4) on the next rung's rule, the audit; the rung ends at the first
     shell where the check, or the audit, differs by more than _COARSE_TOL
     of the rung's sum, or the rung's sum is not finite, and the next rung
-    takes the shells from there; after the last, the full rule, from the
-    ``switch``.  After a full-rule chunk whose every shell is negligible,
-    |S| t^2 at most _COARSE_TOL times the largest |S| t^2 tabulated so
-    far (S the direction sum at shell radius t), a tail starts: its
-    shells are summed on the half order alone, and the first shell above
-    that threshold is handed back to the last rung, which climbs to the
-    full rule again as before (never to the first rung).  If the table
-    ends below the full rule, its largest radius is the last bound, since
-    no shell beyond it was judged.  A rung exists where its check's order
-    is at least 2: below, its rule and its check can be the same 16
+    takes the shells from there.  After the last rung an audited segment
+    keeps its rule with no check and audits the first node of each piece
+    on the full rule; its first shell whose audit differs, or whose sum
+    is not finite, hands on to the full rule, from the ``switch``.  After
+    a chunk of the audited segment or of the full rule whose every shell
+    is negligible, |S| t^2 at most _COARSE_TOL times the largest |S| t^2
+    tabulated so far (S the direction sum at shell radius t), a tail
+    starts: its shells are summed on the half order alone, and the first
+    shell above that threshold is handed back to the last rung, which
+    climbs as before (never to the first rung).  If the table ends below
+    the full rule, its largest radius is the last bound, since no shell
+    beyond it was judged.  A rung exists where its check's order is at
+    least 2: below, its rule and its check can be the same 16
     directions, so order 8 keeps the half order alone and an order below
     8 the full rule alone.  Two sums of exactly 0.0 agree and are
     negligible, so a declared ``zero_outside`` still changes no bit.
@@ -685,36 +683,39 @@ class _ShellProfile:
     a ``maxop.maximal`` call by -14 % to +18 % at 12 random points).
 
     Measured: the 512-radius grid of gauss(0.5, 3) at (0.2, 0.2, 0.2)
-    to radius 100 evaluates 1,232,384 points (1,084,416 with its
-    ``zero_outside``), against 1,551,872 (1,403,904) with no first rung,
-    2,367,488 (1,775,616) with no tail either and 4,349,952 (3,758,080)
-    on the full rule alone, and a traced ``field-3d`` pass of perfbench
-    2,746,882 against 3,294,722 with no first rung, 4,012,034 with no
-    tail and 7,692,290 on the full rule (2,690,562 with the first ball
-    on the first rung too, which moved the grid's smallest average by
-    1-2 ulp).  On gauss of widths 0.2-2 the values agree with the full
-    rule to about 1e-15, and on the ``field-3d`` points the first rung
-    and the tail change no output bit.  The coarse rules miss a kink
-    until it covers about 8 degrees of a shell: the switch lands at
-    1.010-1.016 times the distance to the plane of |x1|.  So on
-    |maxaffine| and distance functions, which never become negligible,
-    a value moves by up to about 2e-7 relative (5e-8 with no first
-    rung), while the full rule's own error there, against 32,768
-    directions, is 1e-5 to 5e-5.  Where the first rung fails at its
-    first shell, its first chunk is evaluated and dropped: ``maxop.maximal``
-    of the distance to 3 points, 0.01 from one, evaluated 1.8 % more
-    than with no first rung, and 11-16 % less at 16 random points of
-    |maxaffine| and distance functions.  A grid function with one
-    nonzero sample, a small hat inside its ``domain``, moved by at most
-    1.5e-6 against the full rule's own 8.2e-5 (against 32,768
-    directions, with averages up to 0.0138), so functions with a domain
-    take the ladder too.  On a smooth background the hat first meets the
-    shells between the nodes of both the 128 and the 32 directions,
-    which agree there: without the audit the table moved by 0.12 of that
-    error, with it by 0.0028.  With a second hat beyond the first, the
-    hand-back keeps the table within 0.01 of that error, where a tail
-    that never hands back moved it by 0.46 of it, and a tail on the 128
-    directions by 4.9 times it.
+    to radius 100 evaluates 1,089,536 points (941,568 with its
+    ``zero_outside``), against 1,232,384 (1,084,416) with the first ball
+    on the last rung and no audited segment, 1,551,872 (1,403,904) with
+    no first rung either, 2,367,488 (1,775,616) with no tail either and
+    4,349,952 (3,758,080) on the full rule alone, and a traced
+    ``field-3d`` pass of perfbench 2,211,842 against 2,746,882,
+    3,294,722, 4,012,034 and 7,692,290.  On gauss of widths 0.2-2 the
+    values agree with the full rule to a few 1e-15; on the ``field-3d``
+    points (4 seeds x 8 passes) the audited segment and the first ball
+    on the first rung moved values by at most 2.1e-15 relative, and the
+    finite best radii of flat maxima by at most 1.5e-8.  The coarse rules
+    miss a kink until it covers about 8 degrees of a shell: the switch
+    lands at 1.01-1.03 times the distance to the plane of |x1|, and on
+    gauss plus |x1|, where the audited segment starts short of the plane,
+    the audit hands on at 1.004-1.016 times it.  So on |maxaffine| and
+    distance functions, which never become negligible, a value moves by
+    up to about 2e-7 relative (0.007 of the full rule's own error there,
+    1e-5 to 5e-5 against 32,768 directions; 0.003 with no audited
+    segment).  Where a segment fails at its first shell, its first chunk
+    is evaluated and dropped, the audited segment's only up to the
+    failing audit: ``maxop.maximal`` at 8 random points to radius 5
+    evaluated 0.7 % more than with no audited segment on a 3-piece
+    |maxaffine| and 3.7 % less on the distance to 3 points.  A grid
+    function with one nonzero sample, a small hat inside its
+    ``domain``, moved by at most 1.5e-6 against the full rule's own
+    8.2e-5 (against 32,768 directions, with averages up to 0.0138), so
+    functions with a domain take the ladder too.  On a smooth background
+    the hat first meets the shells between the nodes of both the 128 and
+    the 32 directions, which agree there: without the audit the table
+    moved by 0.12 of that error, with it by 0.0028.  With a second hat
+    beyond the first, the hand-back keeps the table within 0.026 of that
+    error, where a tail that never hands back moved it by 0.46 of it,
+    and a tail on the 128 directions by 4.9 times it.
     """
 
     def __init__(self, f: DirectionalFunction, x, radii, quadrature=DEFAULT_QUADRATURE):
@@ -731,7 +732,7 @@ class _ShellProfile:
         # at least 2; the rule of each segment between the ascending bounds,
         # which are unknown until the table is built (mode names the test
         # that ends the current segment, rung its rung, next the mode that
-        # starts at the next shell); the first ball starts on the last rung
+        # starts at the next shell); the table starts on the first rung
         self.rungs = []
         if n == 3:
             self.rungs = [
@@ -742,8 +743,7 @@ class _ShellProfile:
         self.mode = self.next = None
         self.rung, self.bounds, self.rules, self.peak = 0, [], [full], 0.0
         if self.rungs:
-            self.rung = len(self.rungs) - 1
-            self.rules, self.mode = [self.rungs[-1][0]], "check"
+            self.rules, self.mode = [self.rungs[0][0]], "check"
         # the coordinates of the largest chunk: _CHUNK_POINTS points, or one shell
         self.buf = np.empty(n * max(_CHUNK_POINTS, len(self.wdir)))
         self.vol = vol = unit_ball_volume(n)
@@ -764,12 +764,6 @@ class _ShellProfile:
             # the unit annulus from 0 scaled by pos[0] (a subnormal radius
             # loses nothing), then one annulus per later radius
             first = self.annulus_integrals(np.zeros(1), np.ones(1), pos[0])[0]
-            if len(pos) > 1 and self.rung and not self.bounds:
-                # the first ball stayed on the last rung: the annuli start
-                # on the first
-                self.bounds.append(float(pos[0]))
-                self.rules.append(self.rungs[0][0])
-                self.rung = 0
             annuli = self.annulus_integrals(pos[:-1], pos[1:])
             out[start] = first / vol  # exactly ball_average's value
             # pos[0] ** n may underflow to 0, so the first radius is not divided by it
@@ -872,7 +866,10 @@ class _ShellProfile:
         also evaluates each chunk on the rung's check and, below the last
         rung, the chunk's audited shells on the next rung's rule, through
         this loop again in chunks of that rule's own size, so no
-        evaluation outgrows the buffer.
+        evaluation outgrows the buffer.  The audited segment evaluates a
+        chunk's audited shells on the full rule the same way, then on its
+        own rule, and then the rows of its other shells up to the first
+        audited shell that differs, so none past it.
 
         The shell points are evaluated _CHUNK_POINTS // m radii at a time,
         written into the profile's one coordinate buffer, allocated with it
@@ -928,14 +925,16 @@ class _ShellProfile:
         ``next`` set to the mode that starts there.  "check" ends at the
         first shell where the rung's check disagrees, or below the last
         rung its audit, and hands on to the next rung or, after the last,
-        to "full"; "full" ends after a chunk whose every shell is
-        negligible against the ``peak``, the largest |S| t^2 written so
-        far, and hands on to "tail"; "tail" ends at the first shell that
-        is not negligible and hands back to "check" on the last rung.  The
-        shells of a cut chunk before its end are written as a later call
-        with that stop lays them out.  The chunks skipped outside [first,
-        last) end no segment: their sums of exactly 0.0 agree and are
-        negligible."""
+        to "audit"; "audit" ends at the first audited shell that
+        disagrees with the full rule and hands on to "full"; "audit" and
+        "full" end after a chunk whose every shell is negligible against
+        the ``peak``, the largest |S| t^2 written so far, and hand on to
+        "tail"; "tail" ends at the first shell that is not negligible and
+        hands back to "check" on the last rung.  Every mode but "full" also
+        ends at a sum that is not finite.  The shells of a cut chunk before
+        its end are written as a later call with that stop lays them out.
+        The chunks skipped outside [first, last) end no segment: their sums
+        of exactly 0.0 agree and are negligible."""
         dirs_t, wdir = rule
         per_chunk = max(1, _CHUNK_POINTS // len(wdir))
         for i in range(start, stop, per_chunk):
@@ -943,24 +942,44 @@ class _ShellProfile:
             lo, hi = max(i, first), min(i + k, last)
             if lo >= hi:  # f is 0.0 on every shell of the chunk
                 continue
-            if mode == "check":
-                # the check and the audit first: their evaluations reuse the
+            d, rows = i + k, None
+            if mode in ("check", "audit"):
+                # the audit and the check first: their evaluations reuse the
                 # buffer that the rows may still view
-                (check_t, check_w), above = self.rungs[self.rung][1], self.rungs[self.rung + 1 :]
-                checked = _chunk_sums(self._values(scaled[lo:hi], check_t), lo - i, k, check_w)
-                if above:  # the audit: the first node of each piece on the next rung's rule
+                if mode == "audit":
+                    audit = (self.dirs_t, self.wdir)
+                else:
+                    audit = self.rungs[self.rung + 1][0] if self.rung + 1 < len(self.rungs) else None
+                if audit:  # the first node of each piece on the next rule up
                     at = np.arange(lo + (-lo) % _GAP_NODES, hi, _GAP_NODES) - i
                     audited = np.zeros(len(at))
-                    self._shells(audited, scaled[i + at], 0, len(at), 0, len(at), above[0][0])
-            rows = self._values(scaled[lo:hi], dirs_t)
-            sums = _chunk_sums(rows, lo - i, k, wdir)
-            d = i + k
+                    self._shells(audited, scaled[i + at], 0, len(at), 0, len(at), audit)
+                if mode == "check":
+                    check_t, check_w = self.rungs[self.rung][1]
+                    checked = _chunk_sums(self._values(scaled[lo:hi], check_t), lo - i, k, check_w)
+                elif len(at):  # the audited shells' rows next, and no row past the first that fails
+                    heads = self._values(scaled[i + at], dirs_t)
+                    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
+                        sums = heads @ wdir
+                        failed = ~(np.abs(sums - audited) <= _COARSE_TOL * np.abs(sums))
+                    if failed.any():
+                        d = hi = i + int(at[np.argmax(failed)])
+                        self.next = "full"
+                    first_node = np.arange(lo, hi) % _GAP_NODES == 0
+                    rows = np.empty((hi - lo, len(wdir)))
+                    rows[first_node] = heads[: np.count_nonzero(first_node)]
+                    if not first_node.all():
+                        rows[~first_node] = self._values(scaled[lo:hi][~first_node], dirs_t)
+            if rows is None:
+                rows = self._values(scaled[lo:hi], dirs_t)
+            sums = _chunk_sums(rows, lo - i, d - i, wdir)
             if mode is not None:
                 with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, or an overflow
-                    weight = np.abs(sums) * scaled[i : i + k] ** 2
+                    weight = np.abs(sums) * scaled[i:d] ** 2
+                    going = np.abs(sums) < math.inf
                     if mode == "check":
-                        going = (np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)) & (np.abs(sums) < math.inf)
-                        if above:
+                        going &= np.abs(sums - checked) <= _COARSE_TOL * np.abs(sums)
+                        if audit:
                             going[at] &= np.abs(sums[at] - audited) <= _COARSE_TOL * np.abs(sums[at])
                     elif mode == "tail":
                         going = weight <= _COARSE_TOL * self.peak
@@ -968,18 +987,18 @@ class _ShellProfile:
                     d = i + int(np.argmin(going))
                     if mode == "tail":
                         self.next = "check"
-                    elif above:
+                    elif mode == "audit":
+                        self.next = "full"
+                    elif audit:
                         self.next, self.rung = "check", self.rung + 1
                     else:
-                        self.next = "full"
+                        self.next = "audit"
                 # a NaN sum (the table is NaN from there on) raises no peak and is not negligible
                 self.peak = max(self.peak, float(np.max(weight[: d - i], initial=0.0)))
-                if mode == "full" and np.all(weight <= _COARSE_TOL * self.peak):
+                if mode in ("audit", "full") and self.next is None and np.all(weight <= _COARSE_TOL * self.peak):
                     self.next = "tail"
-            if d < i + k:
-                if lo < d:
-                    shell[i:d] = _chunk_sums(rows[: d - lo], lo - i, d - i, wdir)
-                return d
+            if d - i < len(sums):  # the segment ends inside the chunk
+                sums = _chunk_sums(rows[: max(0, d - lo)], lo - i, d - i, wdir)
             shell[i:d] = sums
             if self.next is not None:
                 return d
@@ -1142,15 +1161,19 @@ def make_gauss(s: float, n: int = 1) -> DirectionalFunction:
         )
     inv = 1.0 / (s * s)
 
+    # |x|^2 overflows to inf beyond about 1.34e154, outside the zero
+    # radius, where exp(-inf) gives the right 0.0: numpy is told not to warn
     def ev(x):
-        return math.exp(-0.5 * inv * float(x @ x))
+        with np.errstate(over="ignore"):
+            return math.exp(-0.5 * inv * float(x @ x))
 
     def batch(pts):
         # column by column: no (N, n) temporary, the same additions in the
         # same order as np.sum(pts * pts, axis=1)
-        q = np.square(pts[:, 0])
-        for j in range(1, n):
-            q += np.square(pts[:, j])
+        with np.errstate(over="ignore"):
+            q = np.square(pts[:, 0])
+            for j in range(1, n):
+                q += np.square(pts[:, j])
         q *= -0.5 * inv
         return np.exp(q, out=q)
 

@@ -73,7 +73,9 @@ class RadiiSet:
 
     ``radii`` may contain the markers 0.0 and math.inf per the value
     conventions; each finite entry reproduces the attained value within
-    the refinement tolerance.
+    the refinement tolerance.  Where the grid's shells were summed on
+    more than one rule (in 3D), ``trace["rules"]`` holds each rule's
+    segment as (lower bound, direction count), from 0.0 up.
     """
 
     point: Tuple[float, ...]
@@ -196,6 +198,9 @@ def maximal(
     # one profile: the grid averages, and the refinement's probes
     profile = _ShellProfile(absf, x, grid)
     avgs = profile.table
+    rules = {}
+    if profile.bounds:
+        rules["rules"] = tuple(zip([0.0, *profile.bounds], [len(w) for _, w in profile.rules]))
     grid_best, grid_low = float(np.max(avgs)), float(np.min(avgs))
     if grid_best > _OVERFLOW_GUARD:
         raise MaximalBlowupError(
@@ -214,7 +219,7 @@ def maximal(
     if flat and lam == 0.0 and abs(at_x - avgs[0]) < 1e-12 * scale:
         # constant averages at every radius: the whole range attains the sup
         value = at_x
-        rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True})
+        rset = RadiiSet(tuple(x), lam, (0.0, math.inf), value, {"flat": True, **rules})
         return value, rset
 
     interior = np.flatnonzero(
@@ -265,7 +270,7 @@ def maximal(
         lam,
         tuple(radii),
         best,
-        {"grid_best": grid_best, "tail_average": average[-1]},
+        {"grid_best": grid_best, "tail_average": average[-1], **rules},
     )
     return best, rset
 

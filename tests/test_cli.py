@@ -1,10 +1,15 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tangentia
 from tangentia import cli
 from tangentia.cli import ExperimentConfig, run
 from tangentia.funcspace import GridFunction, make_gauss, parse_function_spec
@@ -924,3 +929,33 @@ def test_verify_unknown_suite_exits_2(capsys):
     with pytest.raises(SystemExit) as ei:
         run(["verify", "--suite", "bogus"])
     assert ei.value.code == 2
+
+
+# ---------------------------------------------------------------------------
+# stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dirderiv", "--function", "gauss(0.5,3)", "--point", "1e200,0,0", "--theta", "1,0,0"],
+        ["tau", "--function", "gauss(0.5)", "--point", "1e200"],
+        ["maximal-field", "--function", "gauss(0.5)", "--box=1e200,1e200", "--res", "1"]
+        + ["--r-max", "1", "--out", "f.csv"],
+    ],
+    ids=["dirderiv", "tau", "maximal-field"],
+)
+def test_gauss_far_from_the_origin_prints_no_numpy_warning(argv, tmp_path):
+    # |y|^2 overflows there: numpy warned on stderr about the matmul of the
+    # scalar kernel and the square of the batch kernel, under the default
+    # warning filter of a console run (this process turns them into errors)
+    src = str(Path(tangentia.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-m", "tangentia.cli", *argv],
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stderr == ""

@@ -191,16 +191,17 @@ def test_ball_average_radii_sparse_radii_accurate(n):
         assert a == pytest.approx(ball_average(f, x, r), abs=1e-12)
 
 
-@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 1_232_384)])
+@pytest.mark.parametrize("n, evals", [(1, 4_248), (2, 135_936), (3, 1_089_536)])
 def test_ball_average_radii_cost_and_chunks(n, evals):
     # the maximal-operator grid: the first ball as 20 pieces of 4 shells
     # from 0, then 4 shells per gap, in batches of at most _CHUNK_POINTS
-    # points; in 3D each shell of the first ball and of the second rung
-    # costs 512 + 128 directions, each one of the first rung 128 + 32 and
-    # one in 4 another 512 (the audit), each one beyond the switch 2,048,
-    # and each one of the negligible tail 512 (1,204,224 with the first
-    # ball on the first rung; 1,551,872 with no first rung; 2,367,488
-    # with no tail either; all on 2,048 directions: 4,349,952)
+    # points; in 3D each shell of the first rung costs 128 + 32 directions
+    # and one in 4 another 512 (its audit), each one of the second rung
+    # 512 + 128, each one of the audited segment 512 and one in 4 another
+    # 2,048, each one of the negligible tail, which the audited segment
+    # enters here, 512 (1,232,384 with the first ball on the second rung
+    # and no audited segment; 1,551,872 with no first rung either;
+    # 2,367,488 with no tail either; all on 2,048 directions: 4,349,952)
     # (of a gauss that declares no zero radius, so every shell is evaluated)
     f, sizes = _counting(replace(make_gauss(0.5, n), zero_outside=None))
     radii = np.geomspace(1e-3, 100.0, 512)
@@ -209,12 +210,13 @@ def test_ball_average_radii_cost_and_chunks(n, evals):
     assert max(sizes) <= funcspace._CHUNK_POINTS
 
 
-@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 1_084_416)])
+@pytest.mark.parametrize("n, evals", [(1, 3_668), (2, 117_440), (3, 941_568)])
 def test_ball_average_radii_cost_with_zero_radius(n, evals):
     # gauss(0.5) declares its zero radius 19.36, so on the same grid the
     # shells beyond 19.36 + |x| (radii up to 100) are not evaluated (in
-    # 3D 1,056,256 with the first ball on the first rung, 1,403,904 with
-    # no first rung and 1,775,616 with no tail either)
+    # 3D 1,084,416 with the first ball on the second rung and no audited
+    # segment, 1,403,904 with no first rung either and 1,775,616 with no
+    # tail either)
     f, sizes = _counting(make_gauss(0.5, n))
     ball_average_radii(f, np.full(n, 0.2), np.geomspace(1e-3, 100.0, 512))
     assert sum(sizes) == evals
@@ -445,9 +447,9 @@ def _annulus_reference(f, x, lo, hi, quadrature, scale=1.0, segments=None):
 )
 def test_annulus_integrals_match_broadcast_fill_bitwise(f, x, scale):
     # in 3D the profile's bounds split the annuli between its three rules:
-    # the first radius (the first ball on the second rung, then the first
-    # rung), the first rung's end (0.048 here), the switch (0.52), the
-    # tail from 6.44 and the full rule again from the largest radius on
+    # the first rung's end (0.048 here), the second rung's (0.52), the
+    # switch, where the audited segment ends (3.2), the tail from 7.44 and
+    # the full rule again from the largest radius on
     x = np.array(x)
     radii = np.geomspace(1e-3, 20.0, 64)
     lo, hi = radii[:-1], radii[1:]
@@ -477,7 +479,7 @@ def _probe_reference(profile, radii, r):
         (funcspace.make_tent(), [0.3], [0.1, 0.2, 0.5, 1.0, 2.0], [0.45, 0.21, 0.8, 1.7]),
         (make_maxaffine([[1.0], [-0.5], [0.25]], [0.0, 0.3, -0.2]), [-0.37], [0.05, 0.6, 2.0], [0.3, 1.1, 1.95]),
         (make_gauss(0.5, 2), [0.7, 0.4], np.geomspace(1e-2, 4.0, 32), [0.0101, 0.5, 3.9]),
-        (make_gauss(0.5, 3), [1.3, 0.2, -0.1], [0.02, 0.2, 1.0, 3.0], [0.021, 0.21, 2.47]),
+        (make_gauss(0.5, 3), [1.3, 0.2, -0.1], [0.02, 0.2, 1.0, 3.0], [0.021, 0.21, 2.47, 3.3]),
     ],
     ids=["gauss-1d", "tent", "maxaffine-1d", "gauss-2d", "gauss-3d"],
 )
@@ -488,10 +490,10 @@ def test_shell_profile_probe_is_one_annulus_integral_bitwise(f, x, radii, probes
     # (f without its zero radius, so every shell of a probe is evaluated)
     f, sizes = _counting(absolute(replace(f, zero_outside=None)))
     x, radii = np.array(x), np.array(radii, dtype=float)
-    # (in 3D, the gap (0.02, 0.021) lies on the first rung, from the first
-    # radius to 0.049, and evaluates 128 directions a shell; (0.2, 0.21)
-    # on the second, below the switch, 0.53: 512; (1, 2.47) beyond it:
-    # 2,048)
+    # (in 3D, the gap (0.02, 0.021) lies on the first rung, to 0.049, and
+    # evaluates 128 directions a shell; (0.2, 0.21) on the second, to
+    # 0.53: 512; (1, 2.47) on the audited segment, which holds to the
+    # largest radius, 3: 512; (3, 3.3) beyond it, on the full rule: 2,048)
     profile = funcspace._ShellProfile(f, x, radii)
     assert profile.table.tobytes() == ball_average_radii(f, x, radii).tobytes()
     cuts = np.abs(np.array(f.kinks) - x[0]) if f.kinks else np.zeros(0)
@@ -637,7 +639,8 @@ def test_3d_audit_keeps_a_small_hat_on_a_smooth_background():
     # 32 directions, which agree there on the smooth background; the
     # audit of each piece's first node on the 512 directions ends the
     # first rung there (ratio 0.0028 of the fixed rule's own error; 0.123
-    # without the audit, measured on a copy without it)
+    # without the audit, measured on a copy without it); the second rung
+    # and the audited segment end at the same shell
     samples = np.zeros(9**3)
     samples[np.ravel_multi_index((6, 4, 4), (9, 9, 9))] = 1.0  # at (0.5, 0, 0)
     hat = absolute(GridFunction((-1.0,) * 3, (1.0,) * 3, (9,) * 3, samples).as_function())
@@ -650,11 +653,11 @@ def test_3d_audit_keeps_a_small_hat_on_a_smooth_background():
     x = np.zeros(3)
     radii = np.geomspace(1e-3, 0.98, 128)
     profile = funcspace._ShellProfile(f, x, radii)
-    # the first ball on the second rung's 512 directions, as a lone ball
-    # average sums it; the first rung from the first radius on
-    assert profile.bounds[:1] == [radii[0]]
-    assert profile.table[0] == _table_reference(f, x, radii[:1], segments=((), (16,)))[0]
-    assert profile.bounds[1] < 0.26  # the first rung ends where the shells reach the hat
+    # the first ball on the first rung's 128 directions, as every later
+    # shell up to the hat
+    assert profile.rules[0] is profile.rungs[0][0]
+    assert profile.table[0] == _table_reference(f, x, radii[:1], segments=((), (8,)))[0]
+    assert profile.bounds[0] < 0.26  # the first rung ends where the shells reach the hat
     fixed = _table_reference(f, x, radii)
     own = np.max(np.abs(fixed - _table_reference(f, x, radii, QuadratureConfig(radial_order=128))))
     assert np.max(np.abs(profile.table - fixed)) <= 0.1 * own
@@ -666,7 +669,9 @@ def test_3d_low_orders_keep_one_rule(order, m):
     # 16 directions, so a check would pass every shell: the profile keeps
     # the full rule; from order 8 on the two differ (32 and 16 directions),
     # and from order 16 on the rung below them, the quarter order checked
-    # by the eighth (at order 8 both would be 16 directions)
+    # by the eighth (at order 8 both would be 16 directions); at order 16
+    # the audited segment's 128 directions hold on gauss through the
+    # table, so the full rule starts at its largest radius
     quadrature = QuadratureConfig(radial_order=order)
     f, sizes = _counting(make_gauss(0.5, 3))
     profile = funcspace._ShellProfile(f, np.full(3, 0.2), np.array([0.1, 1.0, 2.0]), quadrature)
@@ -676,13 +681,64 @@ def test_3d_low_orders_keep_one_rule(order, m):
     if not rungs:
         assert profile.switch == 0.0
         assert all(k % m == 0 for k in sizes)
-    else:
+    elif order == 8:
         assert 0.0 < profile.switch < 2.0
+    else:
+        assert profile.switch == 2.0 and profile.rules[-2] is profile.rungs[-1][0]
+
+
+def test_3d_audited_segment_hands_on_to_the_full_rule():
+    # gauss(0.5, 3) at |x| = 1.3 on the radius grid of maxop.maximal: the
+    # 128/32 rung ends at 0.045, the 512/128 pair at 0.49, and the audited
+    # segment sums on the same 512 directions, with one shell in 4 on the
+    # 2,048, until an audit differs at 2.93; the full rule runs from there
+    # to a tail at 6.11.  The table is the full rule's within 1e-14
+    from tangentia import maxop
+
+    f, x = make_gauss(0.5, 3), np.array([1.3, 0.0, 0.0])
+    grid = np.geomspace(maxop._R_MIN_FLOOR, maxop._default_r_max(f, x), maxop._GRID_POINTS)
+    profile = funcspace._ShellProfile(f, x, grid)
+    assert [len(w) for _, w in profile.rules] == [128, 512, 512, 2048, 512, 2048]
+    assert profile.rules[2] is profile.rungs[-1][0]
+    assert 0.4 < profile.bounds[1] < 0.6 and 2.5 < profile.bounds[2] == profile.switch < 3.5
+    fixed = _table_reference(f, x, grid)
+    assert np.all(np.abs(profile.table - fixed) <= 1e-14 * np.abs(fixed))
+
+
+@pytest.mark.parametrize("d", [1.0, 1.5, 2.0])
+def test_3d_audit_hands_on_where_a_shell_crosses_the_kink(d, monkeypatch):
+    # |x1| plus gauss(0.5, 3), about x at distance d from the plane x1 = 0:
+    # on the gauss the 512/128 pair ends short of the plane (at 0.27-0.75
+    # d), and the audited segment's 512 directions agree with the 2,048
+    # until the shells cross it; an audit catches the kink by about 1.02 d
+    # (measured 1.004-1.016 d), and no row of the segment is evaluated
+    # past that audit: beyond it only the chunk's later audited shells
+    # (at most 15) are summed on the 512 directions
+    wedge, g = absolute(parse_function_spec("maxaffine[(1,0,0,0),(-1,0,0,0)]")), make_gauss(0.5, 3)
+    f = DirectionalFunction(
+        evaluator=lambda y: wedge(y) + g(y),
+        dimension=3,
+        batch_evaluator=lambda p: wedge.evaluate_many(p) + g.evaluate_many(p),
+    )
+    calls, values = [], funcspace._ShellProfile._values
+
+    def record(self, radii, dirs_t):
+        calls.append((np.array(radii), dirs_t.shape[1]))
+        return values(self, radii, dirs_t)
+
+    monkeypatch.setattr(funcspace._ShellProfile, "_values", record)
+    for x in ([d, 0.0, 0.0], [-d, 0.3, -0.2]):
+        del calls[:]
+        profile = funcspace._ShellProfile(f, np.array(x), np.geomspace(1e-3, 8.0, 512))
+        assert [len(w) for _, w in profile.rules] == [128, 512, 512, 2048]
+        assert profile.bounds[1] < d <= profile.switch <= 1.03 * d
+        beyond = sum(int(np.sum(radii > profile.switch)) for radii, m in calls if m == 512)
+        assert beyond <= 15
 
 
 def test_3d_switch_check_changes_no_bit():
     # the table, built while its bounds are placed (the switch, then a
-    # tail from 7.38), is bitwise the table assembled from the finished
+    # tail from 8.26), is bitwise the table assembled from the finished
     # profile's annulus integrals, which reuse the bounds (a
     # matrix-vector product of fewer rows can change a sum's last bits,
     # and here it would)
@@ -699,8 +755,10 @@ def test_3d_switch_check_changes_no_bit():
 
 
 def _tails(profile):
-    """The bounds where a profile's table enters a negligible tail: the
-    full rule hands on to the half order, the rule of the last rung."""
+    """The bounds where a profile's table enters a negligible tail from
+    the full rule: it hands on to the half order, the rule of the last
+    rung (a tail entered from the audited segment keeps that segment's
+    rule, and is not found here)."""
     rules = profile.rules
     return [
         b for b, before, after in zip(profile.bounds, rules, rules[1:])
@@ -712,7 +770,8 @@ def test_3d_tail_hands_back_to_the_checked_rules():
     # two hats: the shells about x leave the first at 0.75, where the
     # table enters its tail (0.99), and meet the second from 1.5 on, where
     # the tail hands its first shell above the threshold back to the
-    # checked pair, which climbs to the full rule at once (a tail that
+    # checked pair, which climbs to the audited segment at once, and that
+    # to the full rule at 1.536 (ratio 0.026; a tail that
     # never hands back moves the table by 0.46 of the fixed rule's own
     # error; on the 128 directions, between whose nodes the second hat
     # lies, by 4.9 times)
@@ -764,9 +823,9 @@ def test_3d_tail_starts_far_out_on_the_maximal_grid():
 )
 def test_tail_only_where_f_becomes_negligible(f, x):
     # 1D and 2D profiles keep their one rule; |x1| grows on every shell,
-    # so its table, after the first ball on the second rung, climbs its two
-    # rungs once (both at the shell where the kink comes in reach) and
-    # stays on the full rule
+    # so its table climbs its two rungs and the audited segment once (all
+    # at the shell where the kink comes in reach) and stays on the full
+    # rule
     profile = funcspace._ShellProfile(f, np.array(x), np.geomspace(1e-3, 20.0, 512))
     assert not _tails(profile)
     assert len(profile.bounds) == 3 * (f.dimension == 3)
@@ -819,6 +878,20 @@ def test_gauss_batch_matches_row_sums_bitwise(n):
     batch = make_gauss(s, n).batch_evaluator
     for p in (pts, np.ascontiguousarray(pts.T).T):  # C-ordered, coordinate-major
         assert np.all(batch(p) == np.exp(-0.5 * inv * np.sum(p * p, axis=1)))
+
+
+@pytest.mark.parametrize("s", [0.5, 1e100, 3e152])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gauss_is_silent_where_the_squared_norm_overflows(n, s):
+    # beyond about 1.34e154, outside every zero radius, |y|^2 overflows to
+    # inf and exp(-inf) gives the right 0.0; numpy warned in the scalar
+    # kernel's matmul and the batch kernel's square (errors in this suite)
+    f = make_gauss(s, n)
+    far = np.full(n, 1e200)
+    assert f(far) == 0.0 and f(-far) == 0.0
+    x = np.full(n, 0.3 * s)
+    out = f.evaluate_many(np.array([far, x, -far]))
+    assert out[0] == out[2] == 0.0 and out[1] == f.evaluate_many(x[None, :])[0] > 0.0
 
 
 @pytest.mark.parametrize("s", [3.5e152, 1e154, 1e300, math.inf])

@@ -226,7 +226,8 @@ def test_r_max_whose_ball_volume_overflows_is_refused_by_name(s, n):
     with pytest.raises(ValueError, match=re.escape(f"r_max {2.0 * limit:g} at x=")):
         maximal(f, x, r_max=2.0 * limit)
     value, rset = maximal(f, x, r_max=0.5 * limit)
-    assert 0.0 < value <= 1.0 and all(math.isfinite(v) for v in rset.trace.values())
+    numbers = [v for k, v in rset.trace.items() if k != "rules"] + [b for b, _ in rset.trace.get("rules", ())]
+    assert 0.0 < value <= 1.0 and all(math.isfinite(v) for v in numbers)
 
 
 @pytest.mark.parametrize("lam, r_max, lower", [(0.0, 0.0005, "0.001"), (2.0, 1.5, "2"), (0.5, 0.5, "0.5")])
@@ -512,10 +513,29 @@ def test_constant_3d_flat_radii():
         batch_evaluator=lambda p: np.full(p.shape[0], 2.5),
         support=(np.full(3, -1.0), np.full(3, 1.0)),
     )
-    v, rset = maximal(f, [0.2, -0.1, 0.4])
+    x = [0.2, -0.1, 0.4]
+    v, rset = maximal(f, x)
     assert v == 2.5
     assert rset.radii == (0.0, math.inf)
-    assert rset.trace == {"flat": True}
+    # every shell on the first rung's 128 directions, whose check and audit
+    # agree; the full rule from the largest radius on
+    r_max = maxop._default_r_max(f, np.array(x))
+    assert rset.trace == {"flat": True, "rules": ((0.0, 128), (r_max, 2048))}
+
+
+def test_trace_records_the_3d_rule_segments():
+    # each segment's lower bound and direction count: the two checked
+    # rungs, the audited segment, the full rule, the negligible tail, and
+    # the full rule beyond the grid; 1D and 2D sum every shell on one rule
+    f = parse_function_spec("gauss(0.5,3)")
+    x = np.array([1.3, 0.0, 0.0])
+    _, rset = maximal(f, x)
+    bounds, counts = zip(*rset.trace["rules"])
+    assert counts == (128, 512, 512, 2048, 512, 2048)
+    assert bounds[0] == 0.0 and bounds[-1] == maxop._default_r_max(f, x)
+    assert all(a < b for a, b in zip(bounds, bounds[1:]))
+    for spec, point in (("gauss(0.5)", [1.3]), ("gauss(0.5,2)", [1.3, 0.0])):
+        assert "rules" not in maximal(parse_function_spec(spec), point)[1].trace
 
 
 def test_blowup_guard_3d():
